@@ -3,7 +3,8 @@
 Per specification: raw scenario traces extracted by Strauss, unique
 identical-event classes (the lattice's objects), reference-FA transitions
 (the attributes), concepts, and the time to build the lattice with
-Godin's incremental algorithm.
+Godin's incremental algorithm, in milliseconds (in seconds most rows
+would print ``0.00``).
 
 In-text claims verified here:
 
@@ -13,6 +14,8 @@ In-text claims verified here:
 * construction is affordable — the paper's worst case was ~22 seconds on
   a 248 MHz UltraSPARC; ours must land far below that.
 """
+
+import time
 
 from benchmarks.conftest import report
 from repro.core.godin import build_lattice_godin
@@ -30,11 +33,9 @@ def test_table2(benchmark):
         for spec in SPEC_CATALOG:
             run = cached_run(spec.name)
             # Re-time the lattice build in isolation.
-            import time
-
             start = time.perf_counter()
             build_lattice_godin(run.clustering.lattice.context)
-            seconds = time.perf_counter() - start
+            ms = (time.perf_counter() - start) * 1000
             rows.append(
                 [
                     spec.name,
@@ -43,7 +44,7 @@ def test_table2(benchmark):
                     run.num_quarantined,
                     run.num_attributes,
                     run.num_concepts,
-                    seconds,
+                    ms,
                 ]
             )
         return rows
@@ -57,7 +58,7 @@ def test_table2(benchmark):
             "quarantined",
             "transitions",
             "concepts",
-            "seconds",
+            "ms",
         ],
         rows,
         title="Table 2: cost of concept analysis (Godin's Algorithm 1)",
@@ -65,7 +66,7 @@ def test_table2(benchmark):
     report("table2_concept_analysis", text)
 
     # Affordability: every lattice builds well under the paper's 22 s.
-    assert all(row[6] < 22.0 for row in rows)
+    assert all(row[6] < 22_000 for row in rows)
     # Unique classes are a strict subset of the raw scenario traces.
     assert all(row[2] < row[1] for row in rows)
     # The catalogue's reference FAs accept all their scenarios: nothing

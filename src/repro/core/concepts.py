@@ -17,8 +17,9 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
-from repro.core.context import FormalContext
+from repro.core.context import FormalContext, mask_of
 from repro.robustness.errors import InputError, LookupInputError
 
 #: Optional construction-time invariant check (a debug assertion).  Set
@@ -138,6 +139,16 @@ class ConceptLattice:
 
     def extent(self, c: int) -> frozenset[int]:
         return self.concepts[self._check_index(c)].extent
+
+    @cached_property
+    def extent_masks(self) -> tuple[int, ...]:
+        """Every concept's extent as an int mask (bit ``o`` is object
+        ``o``), indexed like :attr:`concepts`.
+
+        Computed on first use and cached, so building a lattice pays
+        nothing for it; the labeling strategies run on these masks.
+        """
+        return tuple(mask_of(concept.extent) for concept in self.concepts)
 
     def intent(self, c: int) -> frozenset[int]:
         return self.concepts[self._check_index(c)].intent

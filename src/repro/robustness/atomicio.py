@@ -6,8 +6,9 @@ survive the process dying at any instant of a save.  The discipline:
 1. the new content is written to a temporary file *in the same
    directory* (so the final rename cannot cross filesystems), flushed,
    and fsynced;
-2. the current file, if any, is rotated to ``<path>.bak`` (older
-   backups shift to ``<path>.bak2``, ``<path>.bak3``, ...);
+2. the current file, if any, is linked (or copied) to ``<path>.bak``
+   (older backups shift to ``<path>.bak2``, ``<path>.bak3``, ...), so
+   ``path`` itself never goes missing;
 3. the temp file is atomically renamed over ``path`` and the directory
    entry is fsynced.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+import shutil
 import threading
 from collections.abc import Callable
 from pathlib import Path
@@ -75,6 +77,10 @@ def _fsync_directory(directory: Path) -> None:
 def rotate_backups(path: str | Path, backups: int = 2) -> None:
     """Shift ``path`` into the head of its backup chain (if it exists).
 
+    The head backup is a hard link to (or, where links are unsupported,
+    a copy of) the current file, never a rename of it, so ``path`` exists
+    at every moment and a concurrent loader cannot find it missing.
+
     Tolerates a concurrent rotation of the same chain: a source that
     disappears between the existence check and the rename was simply
     rotated (or promoted) by the rival first.
@@ -82,7 +88,7 @@ def rotate_backups(path: str | Path, backups: int = 2) -> None:
     path = Path(path)
     if backups < 1 or not path.exists():
         return
-    chain = [path] + backup_paths(path, backups)
+    chain = backup_paths(path, backups)
     for i in range(len(chain) - 1, 0, -1):
         src, dst = chain[i - 1], chain[i]
         if src.exists():
@@ -90,6 +96,19 @@ def rotate_backups(path: str | Path, backups: int = 2) -> None:
                 os.replace(src, dst)
             except FileNotFoundError:
                 continue
+    staging = _staging_path(chain[0])
+    try:
+        try:
+            os.link(path, staging)
+        except FileNotFoundError:
+            return
+        except OSError:  # a filesystem without hard links
+            shutil.copyfile(path, staging)
+        os.replace(staging, chain[0])
+    finally:
+        # Also taken when a rival already linked the same file into the
+        # head: renaming one link of a file over another does nothing.
+        staging.unlink(missing_ok=True)
 
 
 #: Process-wide staging-file serial; with pid + thread id it makes every

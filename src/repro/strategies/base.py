@@ -8,7 +8,9 @@ A strategy may only label a concept it has just inspected.
 
 :class:`LabelingSimulator` enforces those rules: ``visit`` inspects a
 concept and, if its unlabeled traces all deserve the same reference label,
-labels them.  Strategies differ only in their visiting orders.
+labels them.  Strategies differ only in their visiting orders.  The
+simulator keeps its state in int masks, so each of those tests is a few
+bitwise operations.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.core.concepts import ConceptLattice
+from repro.core.context import iter_bits, mask_of
 from repro.fa.automaton import FA
 from repro.lang.traces import Trace
 
@@ -45,9 +48,27 @@ class StrategyOutcome:
         return self.inspections + self.labelings
 
 
+def masks_by_label(reference: Mapping[int, str], num_objects: int) -> dict[str, int]:
+    """Objects ``0 .. num_objects - 1`` grouped by reference label, as
+    one int mask per label."""
+    masks: dict[str, int] = {}
+    for o in range(num_objects):
+        label = reference[o]
+        masks[label] = masks.get(label, 0) | (1 << o)
+    return masks
+
+
 @dataclass
 class LabelingSimulator:
-    """Tracks labels while a strategy runs, counting operations."""
+    """Tracks labels while a strategy runs, counting operations.
+
+    The state is kept as int masks (bit ``o`` is object ``o``):
+    ``unlabeled`` holds the objects not yet labeled, and
+    ``label_masks`` holds one mask per reference label, so a set of
+    unlabeled objects is uniform exactly when it lies inside one label
+    mask.  ``labels`` is filled in as objects are labeled, for callers
+    that read the labeling itself.
+    """
 
     lattice: ConceptLattice
     reference: Mapping[int, str]
@@ -56,39 +77,44 @@ class LabelingSimulator:
     labelings: int = 0
 
     def __post_init__(self) -> None:
-        missing = self.lattice.context.all_objects - set(self.reference)
+        num_objects = self.lattice.context.num_objects
+        missing = [o for o in range(num_objects) if o not in self.reference]
         if missing:
-            raise ValueError(
-                f"reference labeling is partial; missing objects {sorted(missing)}"
-            )
+            raise ValueError(f"reference labeling is partial; missing objects {missing}")
+        self.label_masks = tuple(masks_by_label(self.reference, num_objects).items())
+        self.extents = self.lattice.extent_masks
+        self.unlabeled = ((1 << num_objects) - 1) & ~mask_of(self.labels)
 
-    def unlabeled_in(self, concept: int) -> frozenset[int]:
-        return frozenset(
-            o for o in self.lattice.extent(concept) if o not in self.labels
-        )
+    def label_of(self, objects: int) -> str | None:
+        """The one reference label every object of the nonempty mask
+        ``objects`` deserves, or ``None`` if they are mixed."""
+        for label, mask in self.label_masks:
+            if not objects & ~mask:
+                return label
+        return None
 
     def fully_labeled(self, concept: int) -> bool:
-        return not self.unlabeled_in(concept)
+        return not self.extents[concept] & self.unlabeled
 
     def done(self) -> bool:
-        return len(self.labels) == self.lattice.context.num_objects
+        return not self.unlabeled
 
     def visit(self, concept: int) -> bool:
         """Inspect ``concept``; label its unlabeled traces if they are
         uniform under the reference labeling.  Returns True if labeled."""
         self.inspections += 1
         obs.inc("strategy.inspections")
-        unlabeled = self.unlabeled_in(concept)
+        unlabeled = self.extents[concept] & self.unlabeled
         if not unlabeled:
             return False
-        wanted = {self.reference[o] for o in unlabeled}
-        if len(wanted) != 1:
+        label = self.label_of(unlabeled)
+        if label is None:
             return False
-        label = next(iter(wanted))
         self.labelings += 1
+        self.unlabeled &= ~unlabeled
         obs.inc("strategy.labelings")
-        obs.inc("strategy.traces_labeled", len(unlabeled))
-        for o in unlabeled:
+        obs.inc("strategy.traces_labeled", unlabeled.bit_count())
+        for o in iter_bits(unlabeled):
             self.labels[o] = label
         return True
 

@@ -28,12 +28,19 @@ def bottom_up_strategy(
 ) -> StrategyOutcome:
     """Run Bottom-up to completion (or :class:`StuckError`)."""
     sim = LabelingSimulator(lattice, reference)
+    extents = sim.extents
+    # A concept's children are all FullyLabeled iff the union of their
+    # extents holds no unlabeled object.
+    below = [0] * len(extents)
+    for c in lattice:
+        for child in lattice.children[c]:
+            below[c] |= extents[child]
     while not sim.done():
+        unlabeled = sim.unlabeled
         candidates = [
             c
-            for c in lattice
-            if not sim.fully_labeled(c)
-            and all(sim.fully_labeled(child) for child in lattice.children[c])
+            for c, extent in enumerate(extents)
+            if extent & unlabeled and not below[c] & unlabeled
         ]
         if not candidates:
             raise StuckError("no bottom-up candidate concept (internal error)")

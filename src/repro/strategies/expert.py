@@ -35,16 +35,15 @@ def expert_strategy(
 ) -> StrategyOutcome:
     """Greedy largest-uniform-cluster labeling plus final verification."""
     sim = LabelingSimulator(lattice, reference)
+    sizes = [extent.bit_count() for extent in sim.extents]
     while not sim.done():
         best: int | None = None
         best_key: tuple[int, int] | None = None
-        for concept in lattice:
-            unlabeled = sim.unlabeled_in(concept)
-            if not unlabeled:
+        for concept, extent in enumerate(sim.extents):
+            unlabeled = extent & sim.unlabeled
+            if not unlabeled or sim.label_of(unlabeled) is None:
                 continue
-            if len({reference[o] for o in unlabeled}) != 1:
-                continue
-            key = (len(unlabeled), len(lattice.extent(concept)))
+            key = (unlabeled.bit_count(), sizes[concept])
             if best_key is None or key > best_key:
                 best, best_key = concept, key
         if best is None:

@@ -9,21 +9,21 @@ states.  (Like the paper's strategies, Optimal only labels unlabeled
 traces with their correct label; Cable's relabeling moves are never needed
 to *reach* a labeling and only enlarge the search space.)
 
-The search is uniform-cost BFS over states (frozensets of labeled
-objects).  It is exponential in the worst case — the paper reports that
-its own optimal-cost program "took too long to run" for the four largest
-specifications — so a state budget caps the search and ``None`` is
-returned on blow-up, which benchmarks display as the paper's missing
-entries.
+The search is uniform-cost BFS over states (int masks of labeled
+objects), visiting each level's states in a fixed order so the budget
+cutoff is deterministic.  It is exponential in the worst case — the
+paper reports that its own optimal-cost program "took too long to run"
+for the four largest specifications — so a state budget caps the search
+and ``None`` is returned on blow-up, which benchmarks display as the
+paper's missing entries.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
 
 from repro.core.concepts import ConceptLattice
-from repro.strategies.base import StrategyOutcome
+from repro.strategies.base import StrategyOutcome, masks_by_label
 
 
 def optimal_cost(
@@ -33,32 +33,37 @@ def optimal_cost(
 ) -> int | None:
     """Minimum total operations, or ``None`` if the budget is exhausted or
     no order can complete the labeling (non-well-formed lattice)."""
-    all_objects = lattice.context.all_objects
-    extents = [lattice.extent(c) for c in lattice]
+    num_objects = lattice.context.num_objects
+    all_objects = (1 << num_objects) - 1
+    extents = lattice.extent_masks
+    uniform = tuple(masks_by_label(reference, num_objects).values())
 
-    start: frozenset[int] = frozenset()
-    if start == all_objects:
+    if not all_objects:
         return 0
-    seen = {start}
-    frontier: deque[frozenset[int]] = deque([start])
+    seen = {0}
+    frontier = [0]
     moves = 0
     while frontier:
         moves += 1
-        next_frontier: deque[frozenset[int]] = deque()
+        next_frontier: list[int] = []
         for state in frontier:
-            successors: set[frozenset[int]] = set()
-            for extent in extents:
-                unlabeled = extent - state
-                if not unlabeled:
-                    continue
-                if len({reference[o] for o in unlabeled}) != 1:
-                    continue
-                successors.add(state | extent)
-            for new_state in successors:
+            free = ~state
+            # A move labels a concept whose unlabeled objects are nonempty
+            # and all of one label: they miss every unlabeled object of
+            # the other labels.
+            successors = {
+                state | extent
+                for others in [free & ~mask for mask in uniform]
+                for extent in extents
+                if extent & free and not extent & others
+            }
+            if all_objects in successors:
+                return 2 * moves
+            # Sorted, so the budget cutoff below never depends on set
+            # iteration order.
+            for new_state in sorted(successors):
                 if new_state in seen:
                     continue
-                if new_state == all_objects:
-                    return 2 * moves
                 seen.add(new_state)
                 if len(seen) > max_states:
                     return None

@@ -24,7 +24,8 @@ def random_strategy(
     """One random-order run (repeated random passes until done)."""
     sim = LabelingSimulator(lattice, reference)
     while not sim.done():
-        pending = [c for c in lattice if not sim.fully_labeled(c)]
+        unlabeled = sim.unlabeled
+        pending = [c for c, extent in enumerate(sim.extents) if extent & unlabeled]
         rng.shuffle(pending)
         progressed = False
         for concept in pending:

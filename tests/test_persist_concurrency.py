@@ -9,7 +9,9 @@ with raw thread races and with the seeded corrupt-write chaos hook
 layered on top.
 """
 
+import os
 import threading
+from unittest import mock
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.cable.persist import (
 )
 from repro.cable.session import CableSession
 from repro.core.trace_clustering import cluster_traces
-from repro.robustness import SessionCorrupt, chaos
+from repro.robustness import SessionCorrupt, atomicio, chaos
 from repro.robustness.atomicio import atomic_write_text, backup_paths
 
 THREADS = 8
@@ -115,6 +117,42 @@ class TestConcurrentSaves:
         for backup in backup_paths(path, 2):
             if backup.exists():
                 assert backup.read_text().startswith(("writer", "seed"))
+
+
+class TestRotationKeepsPath:
+    def test_path_exists_at_every_rename(self, tmp_path):
+        """A loader racing a save must never find the main file missing:
+        rotation links it into the backup chain instead of moving it."""
+        path = tmp_path / "f.txt"
+        atomic_write_text(path, "one", backups=2)
+        atomic_write_text(path, "two", backups=2)
+        present = []
+        real_replace = os.replace
+
+        def spying_replace(src, dst):
+            present.append(path.exists())
+            real_replace(src, dst)
+            present.append(path.exists())
+
+        with mock.patch.object(atomicio.os, "replace", spying_replace):
+            atomic_write_text(path, "three", backups=2)
+        assert present and all(present)
+        assert path.read_text() == "three"
+        assert [b.read_text() for b in backup_paths(path, 2)] == ["two", "one"]
+        assert not list(tmp_path.glob("*.tmp*"))
+
+    def test_copies_where_links_are_unsupported(self, tmp_path):
+        path = tmp_path / "f.txt"
+        atomic_write_text(path, "one", backups=2)
+
+        def no_links(src, dst):
+            raise PermissionError("hard links not supported")
+
+        with mock.patch.object(atomicio.os, "link", no_links):
+            atomic_write_text(path, "two", backups=2)
+        assert path.read_text() == "two"
+        assert backup_paths(path, 2)[0].read_text() == "one"
+        assert not list(tmp_path.glob("*.tmp*"))
 
 
 class TestChaosConcurrentSaves:
