@@ -14,6 +14,7 @@ from collections import deque
 
 from repro.fa.automaton import FA
 from repro.learners.sk_strings import LearnedFA
+from repro.robustness.errors import InputError
 
 
 def core_fa(learned: LearnedFA, min_fraction: float = 0.05) -> FA:
@@ -25,7 +26,7 @@ def core_fa(learned: LearnedFA, min_fraction: float = 0.05) -> FA:
     is reachable, are removed as well.
     """
     if not 0.0 <= min_fraction <= 1.0:
-        raise ValueError(f"min_fraction must be in [0, 1], got {min_fraction}")
+        raise InputError(f"min_fraction must be in [0, 1], got {min_fraction}")
     fa = learned.fa
     total = max(learned.state_visits[0], 1) if learned.state_visits else 1
     threshold = min_fraction * total

@@ -16,6 +16,7 @@ from collections.abc import Iterable
 from repro.lang.traces import Trace
 from repro.learners.prefix_tree import PrefixTree
 from repro.learners.sk_strings import LearnedFA, _Merger
+from repro.robustness.errors import InputError
 
 
 def _tail_set(
@@ -30,7 +31,7 @@ def _tail_set(
     if merger.stops[state] > 0:
         tails.add(())
     if k > 0:
-        for sym, (target, _) in merger.successors(state).items():
+        for sym, target in merger.succ[state].items():
             for tail in _tail_set(merger, target, k - 1, cache):
                 tails.add((sym,) + tail)
     result = frozenset(tails)
@@ -41,10 +42,10 @@ def _tail_set(
 def learn_k_tails(traces: Iterable[Trace], k: int = 2) -> LearnedFA:
     """Learn an FA by merging k-tails-equivalent PTA states."""
     if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+        raise InputError(f"k must be >= 0, got {k}")
     tree = PrefixTree.from_traces(traces)
     if tree.visits[0] == 0:
-        raise ValueError("cannot learn from an empty trace set")
+        raise InputError("cannot learn from an empty trace set")
     merger = _Merger(tree)
     changed = True
     while changed:

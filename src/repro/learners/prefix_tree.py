@@ -13,6 +13,7 @@ sk-strings learner estimates string probabilities.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable, Sequence
 
 from repro.fa.automaton import FA
@@ -71,9 +72,9 @@ class PrefixTree:
     def bfs_order(self) -> list[int]:
         """Nodes in breadth-first order (root first, children by symbol)."""
         order = [0]
-        queue = [0]
+        queue = deque(order)
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             for sym in sorted(self.children[node]):
                 child = self.children[node][sym]
                 order.append(child)

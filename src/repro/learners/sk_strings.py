@@ -23,10 +23,28 @@ much of the probability mass must agree; ``variant`` selects Raman and
 Patrick's two acceptance tests — ``"and"`` (the default) merges states
 whose top k-string sets are *equal*, ``"or"`` merges states whose top
 sets merely *intersect*, which generalizes much more aggressively.
+
+Representation.  The merged automaton is always deterministic and stored
+by root state only: each root has a ``symbol -> target root`` map, a
+``symbol -> count`` map, its predecessor roots and its visit count,
+which is also its out-mass (stops plus outgoing counts).  A merge keeps
+the lower-numbered root, redirects the absorbed state's incoming edges
+at once, and folds nondeterminism with a worklist, so every read is a
+plain dict lookup.  Each merge
+yields the unique smallest deterministic coarsening containing the
+merged pair, with counts summed, so the result depends only on which
+states were merged, not on the order the folds ran in.
+
+Top-strings memo.  ``top_strings`` is memoised per root.  A state's
+k-strings read only the states at depth <= k below it, so a merge drops
+the memo of exactly the roots within k backward steps of a state it
+touched; every other root's top-strings are unchanged.  The memo lives
+in one ``_Merger``, i.e. one learn call.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -35,6 +53,7 @@ from repro.fa.automaton import FA, Transition
 from repro.lang.events import parse_pattern
 from repro.lang.traces import Trace
 from repro.learners.prefix_tree import PrefixTree
+from repro.robustness.errors import InputError
 
 #: Marker appended to k-strings that end with the stop decision.
 STOP = "$"
@@ -55,20 +74,36 @@ class LearnedFA:
 
 
 class _Merger:
-    """Mutable merged-automaton state shared by the learners."""
+    """The merged automaton by root state, shared by the learners.
+
+    Every prefix-tree node starts as its own root, and a class's root is
+    always its smallest node.  Per root: ``succ`` (symbol -> target
+    root), ``count`` (symbol -> summed edge count), ``preds`` (roots with
+    an edge into it), ``stops`` and ``visits``; the edge maps of absorbed
+    states are emptied.
+    """
 
     def __init__(self, tree: PrefixTree) -> None:
         n = tree.num_nodes
         self.parent = list(range(n))
-        # Per *root* state: symbol -> {target root: count}.
-        self.edges: list[dict[str, dict[int, int]]] = []
-        for node in range(n):
-            out: dict[str, dict[int, int]] = {}
-            for sym, child in tree.children[node].items():
-                out[sym] = {child: tree.visits[child]}
-            self.edges.append(out)
+        self.succ: list[dict[str, int]] = [dict(kids) for kids in tree.children]
+        self.count: list[dict[str, int]] = [
+            {sym: tree.visits[child] for sym, child in kids.items()}
+            for kids in tree.children
+        ]
+        self.preds: list[set[int]] = [set() for _ in range(n)]
+        for node, kids in enumerate(tree.children):
+            for child in kids.values():
+                self.preds[child].add(node)
         self.stops = list(tree.stops)
+        # A node's visits are its stops plus its outgoing counts, and a
+        # merge sums all three, so ``visits`` is also each root's out-mass.
         self.visits = list(tree.visits)
+        # Top-strings memo: root -> {(k, s): top k-strings}.  ``merge``
+        # drops every root within ``_horizon`` (the largest k asked for)
+        # backward steps of a state it touched.
+        self._tops: dict[int, dict[tuple[int, float], frozenset]] = {}
+        self._horizon = 0
 
     def find(self, x: int) -> int:
         root = x
@@ -81,63 +116,62 @@ class _Merger:
     def merge(self, a: int, b: int) -> int:
         """Merge states ``a`` and ``b`` and fold nondeterminism; returns the
         surviving root."""
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return a
-        # Keep the lower-numbered (closer to the root / created earlier).
-        if b < a:
-            a, b = b, a
-        self.parent[b] = a
-        self.stops[a] += self.stops[b]
-        self.visits[a] += self.visits[b]
-        merged = self.edges[b]
-        self.edges[b] = {}
-        for sym, targets in merged.items():
-            bucket = self.edges[a].setdefault(sym, {})
-            for target, count in targets.items():
-                target = self.find(target)
-                bucket[target] = bucket.get(target, 0) + count
-        # Fold: a symbol now leading to several targets forces those
-        # targets to merge too (recursively).  A recursive merge can
-        # absorb the surviving root itself (when a state reaches its own
-        # ancestor), so re-resolve the root and restart the scan after
-        # every fold step.
-        while True:
-            a = self.find(a)
-            for sym in list(self.edges[a].keys()):
-                self._normalize(a, sym)
-                targets = self.edges[a].get(sym, ())
-                if len(targets) > 1:
-                    roots = sorted(targets)
-                    self.merge(roots[0], roots[1])
-                    break  # restart: the root may have moved
-            else:
-                return self.find(a)
-
-    def _normalize(self, state: int, sym: str) -> None:
-        """Re-key a state's targets by their current roots."""
-        state = self.find(state)
-        old = self.edges[state].get(sym, {})
-        fresh: dict[int, int] = {}
-        for target, count in old.items():
-            target = self.find(target)
-            fresh[target] = fresh.get(target, 0) + count
-        self.edges[state][sym] = fresh
-
-    def successors(self, state: int) -> dict[str, tuple[int, int]]:
-        """``symbol -> (target root, count)`` for a (deterministic) state."""
-        state = self.find(state)
-        out: dict[str, tuple[int, int]] = {}
-        for sym in list(self.edges[state]):
-            self._normalize(state, sym)
-            targets = self.edges[state][sym]
-            if not targets:
+        first = a
+        survivors: list[int] = []
+        pending = [(a, b)]
+        while pending:
+            a, b = pending.pop()
+            a, b = self.find(a), self.find(b)
+            if a == b:
                 continue
-            if len(targets) != 1:
-                raise RuntimeError("merged automaton is not deterministic")
-            ((target, count),) = targets.items()
-            out[sym] = (target, count)
-        return out
+            # Keep the lower-numbered (closer to the root / created earlier).
+            if b < a:
+                a, b = b, a
+            self.parent[b] = a
+            survivors.append(a)
+            self.stops[a] += self.stops[b]
+            self.visits[a] += self.visits[b]
+            # Point every edge into ``b`` at ``a``.
+            for p in self.preds[b]:
+                out = self.succ[p]
+                for sym, target in out.items():
+                    if target == b:
+                        out[sym] = a
+                if p != b:
+                    self.preds[a].add(p)
+            self.preds[b] = set()
+            # Move ``b``'s edges to ``a``; a symbol that leaves both states
+            # queues a merge of its two targets (the fold).
+            counts = self.count[b]
+            for sym, target in self.succ[b].items():
+                self.preds[target].discard(b)
+                if sym in self.succ[a]:
+                    self.count[a][sym] += counts[sym]
+                    if self.succ[a][sym] != target:
+                        pending.append((self.succ[a][sym], target))
+                else:
+                    self.succ[a][sym] = target
+                    self.count[a][sym] = counts[sym]
+                    self.preds[target].add(a)
+            self.succ[b] = {}
+            self.count[b] = {}
+        if self._tops:
+            self._invalidate({self.find(s) for s in survivors})
+        return self.find(first)
+
+    def _invalidate(self, touched: set[int]) -> None:
+        """Drop the memoised top-strings of every root within ``_horizon``
+        backward steps of ``touched``: a state's k-strings read only the
+        states at depth <= k below it."""
+        seen = set(touched)
+        frontier = touched
+        for _ in range(self._horizon):
+            frontier = {p for q in frontier for p in self.preds[q]} - seen
+            if not frontier:
+                break
+            seen |= frontier
+        for root in seen:
+            self._tops.pop(root, None)
 
     def k_strings(self, state: int, k: int) -> dict[tuple[str, ...], float]:
         """Probability of each k-string out of ``state``.
@@ -147,28 +181,34 @@ class _Merger:
         branching ratios, so the values sum to 1 for any live state.
         """
         out: dict[tuple[str, ...], float] = {}
+        succ, count, stops, visits = self.succ, self.count, self.stops, self.visits
 
         def walk(node: int, depth: int, prob: float, prefix: tuple[str, ...]) -> None:
-            node = self.find(node)
-            succ = self.successors(node)
-            mass = self.stops[node] + sum(c for _, c in succ.values())
+            mass = visits[node]
             if mass == 0:
-                out[prefix + (STOP,)] = out.get(prefix + (STOP,), 0.0) + prob
+                key = prefix + (STOP,)
+                out[key] = out.get(key, 0.0) + prob
                 return
             if depth == k:
                 out[prefix] = out.get(prefix, 0.0) + prob
                 return
-            if self.stops[node]:
+            if stops[node]:
                 key = prefix + (STOP,)
-                out[key] = out.get(key, 0.0) + prob * self.stops[node] / mass
-            for sym, (target, count) in succ.items():
-                walk(target, depth + 1, prob * count / mass, prefix + (sym,))
+                out[key] = out.get(key, 0.0) + prob * stops[node] / mass
+            counts = count[node]
+            for sym, target in succ[node].items():
+                walk(target, depth + 1, prob * counts[sym] / mass, prefix + (sym,))
 
-        walk(state, 0, 1.0, ())
+        walk(self.find(state), 0, 1.0, ())
         return out
 
     def top_strings(self, state: int, k: int, s: float) -> frozenset[tuple[str, ...]]:
         """The most probable k-strings covering at least fraction ``s``."""
+        state = self.find(state)
+        memo = self._tops.setdefault(state, {})
+        tops = memo.get((k, s))
+        if tops is not None:
+            return tops
         dist = sorted(
             self.k_strings(state, k).items(), key=lambda kv: (-kv[1], kv[0])
         )
@@ -179,7 +219,9 @@ class _Merger:
             cumulative += prob
             if cumulative >= s - 1e-12:
                 break
-        return frozenset(chosen)
+        tops = memo[(k, s)] = frozenset(chosen)
+        self._horizon = max(self._horizon, k)
+        return tops
 
     def sk_equivalent(
         self, a: int, b: int, k: int, s: float, variant: str = "and"
@@ -190,18 +232,17 @@ class _Merger:
             return tops_a == tops_b
         if variant == "or":
             return bool(tops_a & tops_b)
-        raise ValueError(f"unknown sk-strings variant {variant!r}")
+        raise InputError(f"unknown sk-strings variant {variant!r}")
 
     def to_learned_fa(self) -> LearnedFA:
         """Freeze into a :class:`LearnedFA` with BFS state numbering."""
         root = self.find(0)
         order = [root]
         index = {root: 0}
-        queue = [root]
+        queue = deque(order)
         while queue:
-            node = queue.pop(0)
-            for sym in sorted(self.successors(node)):
-                target, _ = self.successors(node)[sym]
+            node = queue.popleft()
+            for _, target in sorted(self.succ[node].items()):
                 if target not in index:
                     index[target] = len(order)
                     order.append(target)
@@ -209,14 +250,14 @@ class _Merger:
         transitions = []
         counts = []
         for node in order:
-            for sym in sorted(self.successors(node)):
-                target, count = self.successors(node)[sym]
+            node_counts = self.count[node]
+            for sym, target in sorted(self.succ[node].items()):
                 transitions.append(
                     Transition(
                         f"q{index[node]}", parse_pattern(sym), f"q{index[target]}"
                     )
                 )
-                counts.append(count)
+                counts.append(node_counts[sym])
         states = [f"q{i}" for i in range(len(order))]
         accepting = [f"q{index[n]}" for n in order if self.stops[n] > 0]
         fa = FA(states, ["q0"], accepting, transitions)
@@ -238,14 +279,14 @@ def learn_sk_strings(
     ``"and"``.
     """
     if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must be in (0, 1], got {s}")
+        raise InputError(f"s must be in (0, 1], got {s}")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise InputError(f"k must be >= 1, got {k}")
     if variant not in ("and", "or"):
-        raise ValueError(f"unknown sk-strings variant {variant!r}")
+        raise InputError(f"unknown sk-strings variant {variant!r}")
     tree = PrefixTree.from_traces(traces)
     if tree.visits[0] == 0:
-        raise ValueError("cannot learn from an empty trace set")
+        raise InputError("cannot learn from an empty trace set")
     with obs.span(
         "sk_strings.learn", nodes=tree.num_nodes, k=k, s=s, variant=variant
     ) as span:
@@ -255,18 +296,12 @@ def learn_sk_strings(
         red: list[int] = [merger.find(0)]
         while True:
             # Blue fringe: successors of red states that are not red.
-            red = sorted({merger.find(r) for r in red})
-            blue = sorted(
-                {
-                    target
-                    for r in red
-                    for _, (target, _) in merger.successors(r).items()
-                    if target not in red
-                }
-            )
+            red_set = {merger.find(r) for r in red}
+            red = sorted(red_set)
+            blue = {t for r in red for t in merger.succ[r].values()} - red_set
             if not blue:
                 break
-            b = blue[0]
+            b = min(blue)
             for r in red:
                 if merger.sk_equivalent(r, b, k, s, variant):
                     merger.merge(r, b)

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.cable.cli import CableCLI, _parse_selection, build_session
+from repro.cable.cli import CableCLI, _parse_selection, build_session, main
 from repro.cable.session import CableSession, SelectionError
 from repro.cable.views import lattice_to_dot, render_lattice
 from repro.core.trace_clustering import cluster_traces
@@ -163,6 +163,14 @@ class TestBuildSession:
         fa_file.write_text(fa_to_text(stdio_reference))
         session = build_session(str(trace_file), str(fa_file))
         assert session.clustering.reference_fa.num_transitions == 10
+
+    def test_empty_trace_file_without_fa_is_an_input_error(self, tmp_path, capsys):
+        trace_file = tmp_path / "empty.txt"
+        trace_file.write_text("\n")
+        assert main([str(trace_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot learn from an empty trace set\n"
+        assert captured.out == ""
 
 
 class TestLatticeTree:

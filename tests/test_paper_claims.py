@@ -4,9 +4,11 @@ These are the quantitative statements scattered through the text (the
 table contents themselves are not present in our copy of the paper; see
 EXPERIMENTS.md).  This module is the executable form of that checklist.
 It runs the strategies under the Table 3 benchmark's settings, so besides
-the in-text ranges it pins every row of the committed Table 3 exactly.
+the in-text ranges it pins every row of the committed Table 3 exactly, and
+it pins the size of every re-mined specification in the committed Table 1.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -17,12 +19,20 @@ from repro.util.tables import format_table
 from repro.workloads.pipeline import cached_run
 from repro.workloads.specs_catalog import FOUR_LARGEST, SPEC_CATALOG
 
-TABLE3_FILE = (
-    Path(__file__).resolve().parents[1]
-    / "benchmarks"
-    / "results"
-    / "table3_labeling_cost.txt"
-)
+RESULTS_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+TABLE1_FILE = RESULTS_DIR / "table1_specifications.txt"
+TABLE3_FILE = RESULTS_DIR / "table3_labeling_cost.txt"
+
+
+def _table1_sizes() -> dict[str, tuple[int, int]]:
+    """``spec name -> (states, transitions)`` from the committed Table 1."""
+    lines = TABLE1_FILE.read_text().splitlines()
+    rule_at = next(i for i, line in enumerate(lines) if line.startswith("------"))
+    sizes = {}
+    for line in lines[rule_at + 1 :]:
+        name, states, transitions, _ = re.split(r"\s{2,}", line, maxsplit=3)
+        sizes[name.removesuffix(" *")] = (int(states), int(transitions))
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +105,19 @@ class TestTable3Pinned:
             f"(ratio {expert / baseline:.3f}; paper claims < 1/3)"
         )
         assert TABLE3_FILE.read_text().splitlines()[-1] == line
+
+
+class TestTable1Pinned:
+    """Every row of ``benchmarks/results/table1_specifications.txt``: the
+    debugged FA re-mined from each spec's good behaviors keeps its size."""
+
+    def test_rows_cover_the_catalog_in_order(self):
+        assert list(_table1_sizes()) == [spec.name for spec in SPEC_CATALOG]
+
+    @pytest.mark.parametrize("spec", SPEC_CATALOG, ids=lambda spec: spec.name)
+    def test_states_and_transitions(self, spec):
+        fa = spec.debugged_fa()
+        assert (fa.num_states, fa.num_transitions) == _table1_sizes()[spec.name]
 
 
 class TestStrategyClaims:
