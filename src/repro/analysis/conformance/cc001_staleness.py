@@ -14,7 +14,7 @@ This pass flags, anywhere outside ``fa/automaton.py`` itself:
   language-defining attribute or ``version``;
 * ``object.__setattr__(obj, <attr>, ...)`` with such an attribute;
 * in-place mutation of semantic containers — ``x.transitions.append``,
-  ``x._by_src[...] = ...``, ``x.transitions += ...`` and friends —
+  ``x._outgoing[...] = ...``, ``x.transitions += ...`` and friends —
   except inside the owning class's own ``__init__``/``__post_init__``
   (construction happens before any cache can exist).
 
@@ -38,7 +38,7 @@ from repro.analysis.diagnostics import Diagnostic
 
 #: The attributes FA.__setattr__ counts, plus the counter itself.
 SEMANTIC_ATTRS = frozenset(
-    {"states", "initial", "accepting", "transitions", "_by_src", "version"}
+    {"states", "initial", "accepting", "transitions", "_outgoing", "version"}
 )
 
 #: Container methods that mutate in place.

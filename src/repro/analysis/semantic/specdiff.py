@@ -171,7 +171,7 @@ def shortest_accepting_completion(
     queue = deque(starts)
     while queue:
         state = queue.popleft()
-        for _, t in fa._by_src[state]:
+        for _, t in fa.outgoing(state):
             if t.dst in seen:
                 continue
             seen.add(t.dst)

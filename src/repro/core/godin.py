@@ -18,6 +18,17 @@ intent; its parents are the new/modified concepts with maximal strictly
 smaller intent; edges that the insertion makes transitive (child-of-new to
 parent-of-new) are removed.
 
+Algorithm 1 visits the existing concepts by ascending intent size.  The
+builder keeps concept ids in **buckets by intent size** (each bucket in
+ascending id order), updated as concepts are created and as the bottom
+grows, so an insertion walks the buckets instead of re-sorting every
+concept — the same (size, id) order a stable sort would give.  A new
+concept's parents are picked by scanning its candidates by descending
+intent size against the parents already chosen: a candidate that is not
+maximal lies under a strictly larger maximal one, which was chosen
+first.  That replaces an all-pairs maximality scan, and the links are
+still made in the old candidate order.
+
 Intents and extents are held as **int bitmasks** throughout (see
 :class:`~repro.core.context.BitContext`): the subset tests, meets, and
 maximality scans of every insertion are single bitwise ops instead of
@@ -46,8 +57,10 @@ contexts.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from repro import obs
 from repro.core.concepts import Concept, ConceptLattice
@@ -91,6 +104,8 @@ class GodinLatticeBuilder:
         self._intents: list[int] = []
         self._parents: list[set[int]] = []
         self._children: list[set[int]] = []
+        #: Concept ids by intent size, each bucket in ascending id order.
+        self._by_size: list[list[int]] = []
         self._all_attrs: int = 0
         self._num_objects = 0
         self._budget = budget if budget and not budget.unlimited else None
@@ -116,6 +131,7 @@ class GodinLatticeBuilder:
             builder._intents.append(mask_of(concept.intent))
         builder._parents = [set(p) for p in lattice.parents]
         builder._children = [set(c) for c in lattice.children]
+        builder._index_sizes()
         builder._all_attrs = mask_of(lattice.context.all_attributes)
         builder._num_objects = lattice.context.num_objects
         obs.inc("godin.resumes")
@@ -135,6 +151,7 @@ class GodinLatticeBuilder:
         builder._intents = [mask_of(i) for i in checkpoint.intents]
         builder._parents = [set(p) for p in checkpoint.parents]
         builder._children = [set(c) for c in checkpoint.children]
+        builder._index_sizes()
         builder._all_attrs = mask_of(checkpoint.all_attrs)
         builder._num_objects = checkpoint.num_objects
         obs.inc("godin.resumes")
@@ -203,12 +220,25 @@ class GodinLatticeBuilder:
     def num_concepts(self) -> int:
         return len(self._intents)
 
+    def _bucket(self, size: int) -> list[int]:
+        while len(self._by_size) <= size:
+            self._by_size.append([])
+        return self._by_size[size]
+
+    def _index_sizes(self) -> None:
+        """Rebuild the intent-size buckets from ``_intents``."""
+        self._by_size = []
+        for c, intent in enumerate(self._intents):
+            self._bucket(intent.bit_count()).append(c)
+
     def _new_concept(self, extent: int, intent: int) -> int:
         self._extents.append(extent)
         self._intents.append(intent)
         self._parents.append(set())
         self._children.append(set())
-        return len(self._intents) - 1
+        c = len(self._intents) - 1
+        self._bucket(intent.bit_count()).append(c)
+        return c
 
     def _link(self, child: int, parent: int) -> None:
         self._children[parent].add(child)
@@ -219,10 +249,23 @@ class GodinLatticeBuilder:
         self._parents[child].discard(parent)
 
     def _bottom_concept(self) -> int:
-        for i, intent in enumerate(self._intents):
-            if intent == self._all_attrs:
-                return i
+        for c in self._bucket(self._all_attrs.bit_count()):
+            if self._intents[c] == self._all_attrs:
+                return c
         raise RuntimeError("invariant violated: no concept with full intent")
+
+    def _grow_bottom(self, grown: int) -> None:
+        """Widen the attribute universe to ``grown`` (a superset of it),
+        keeping a concept whose intent is all of it: an empty-extent
+        bottom just widens its intent, any other gets a fresh child."""
+        bottom = self._bottom_concept()
+        if self._extents[bottom]:
+            self._link(self._new_concept(0, grown), bottom)
+        else:
+            self._by_size[self._intents[bottom].bit_count()].remove(bottom)
+            insort(self._bucket(grown.bit_count()), bottom)
+            self._intents[bottom] = grown
+        self._all_attrs = grown
 
     # ------------------------------------------------------------------ #
     # insertion
@@ -280,32 +323,24 @@ class GodinLatticeBuilder:
         if row & ~self._all_attrs:
             # The object brings new attributes: restore the bottom
             # invariant before the main pass.
-            grown = self._all_attrs | row
-            bottom = self._bottom_concept()
-            if not self._extents[bottom]:
-                self._intents[bottom] = grown
-            else:
-                fresh = self._new_concept(0, grown)
-                self._link(fresh, bottom)
-            self._all_attrs = grown
+            self._grow_bottom(self._all_attrs | row)
 
-        # Process a snapshot of the existing concepts by ascending intent
-        # size; concepts created during the pass are consulted through
-        # ``updated`` only.
+        # Walk the existing concepts by ascending (intent size, id).  A
+        # concept created during the pass has intent ``meet``, strictly
+        # inside its generator's, so it joins a bucket the walk has
+        # already left: the walk sees exactly the concepts that existed
+        # before it, and the new ones are consulted through ``updated``.
         intents = self._intents
         extents = self._extents
-        snapshot = sorted(
-            range(len(intents)), key=lambda c: intents[c].bit_count()
-        )
         updated: dict[int, int] = {}
-        for c in snapshot:
+        for c in chain.from_iterable(self._by_size):
             intent = intents[c]
-            if not intent & ~row:
+            meet = intent & row
+            if meet == intent:
                 # Modified concept (intent ⊆ row).
                 extents[c] |= obj_bit
                 updated[intent] = c
                 continue
-            meet = intent & row
             if meet in updated:
                 continue
             # ``c`` is the canonical generator for this intersection.
@@ -336,16 +371,16 @@ class GodinLatticeBuilder:
                 for intent_d, d in updated.items()
                 if intent_d != meet and not intent_d & ~meet and d != new
             ]
-            parents = [
-                d
-                for d in above
-                if not any(
-                    e != d
-                    and intents[d] != intents[e]
-                    and not intents[d] & ~intents[e]
-                    for e in above
-                )
-            ]
+            # Largest intents first, each kept unless a kept one contains
+            # it (``updated`` maps distinct intents, so strictly); linked
+            # in ``above`` order.
+            maximal: list[int] = []
+            by_size = sorted(above, key=lambda d: intents[d].bit_count(), reverse=True)
+            for d in by_size:
+                if all(intents[d] & ~intents[p] for p in maximal):
+                    maximal.append(d)
+            chosen = set(maximal)
+            parents = [d for d in above if d in chosen]
             for child in children:
                 self._link(child, new)
             for parent in parents:
@@ -408,15 +443,8 @@ def build_lattice_godin(
         # Degenerate context: the lattice is the single concept (∅, A).
         builder._new_concept(0, all_attrs_bits)
         builder._all_attrs = all_attrs_bits
-    else:
+    elif all_attrs_bits & ~builder._all_attrs:
         # Attributes that occur in no row still belong to the bottom intent.
-        if all_attrs_bits & ~builder._all_attrs:
-            bottom = builder._bottom_concept()
-            if builder._extents[bottom]:
-                fresh = builder._new_concept(0, all_attrs_bits)
-                builder._link(fresh, bottom)
-            else:
-                builder._intents[bottom] = all_attrs_bits
-            builder._all_attrs = all_attrs_bits
+        builder._grow_bottom(all_attrs_bits)
     obs.set_gauge("lattice.concepts", builder.num_concepts)
     return builder.build(context)

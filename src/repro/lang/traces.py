@@ -157,16 +157,15 @@ class DedupResult:
 
 
 def dedup_traces(traces: Iterable[Trace]) -> DedupResult:
-    """Partition ``traces`` into classes of identical event sequences."""
-    order: list[tuple[Event, ...]] = []
+    """Partition ``traces`` into classes of identical event sequences.
+
+    Classes come in order of first occurrence (the dict's order).  A key
+    hash walks every event, so each trace's key is hashed exactly once.
+    """
     groups: dict[tuple[Event, ...], list[Trace]] = {}
     for trace in traces:
-        key = trace.key()
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(trace)
-    reps = tuple(groups[key][0] for key in order)
-    counts = tuple(len(groups[key]) for key in order)
-    members = tuple(tuple(groups[key]) for key in order)
-    return DedupResult(reps, counts, members)
+        groups.setdefault(trace.key(), []).append(trace)
+    members = tuple(map(tuple, groups.values()))
+    return DedupResult(
+        tuple(group[0] for group in members), tuple(map(len, members)), members
+    )

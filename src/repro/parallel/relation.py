@@ -501,8 +501,10 @@ def relation_map(
         backend=backend,
     ) as span:
         # Resolve hits and collapse in-batch duplicates; ``pending`` maps
-        # each distinct missing key to every position that needs it.
-        pending: OrderedDict[tuple, list[int]] = OrderedDict()
+        # each distinct missing key to every position that needs it.  A
+        # key hash walks every event, so keys are hashed once here and
+        # never recomputed (a plain dict iterates without re-hashing).
+        pending: dict[tuple, list[int]] = {}
         disk_hits = 0
         for i, trace in enumerate(traces):
             key = trace.key()
@@ -517,13 +519,14 @@ def relation_map(
                 results[i] = cached
             else:
                 pending.setdefault(key, []).append(i)
-        hits = len(traces) - sum(len(v) for v in pending.values())
+        hits = len(traces) - sum(map(len, pending.values()))
+        keys = list(pending)
         todo = [traces[positions[0]] for positions in pending.values()]
 
         def bank(index: int, result: RelationResult) -> None:
             """Record one computed row in every active tier."""
             if store is not None:
-                store.put(todo[index].key(), result)
+                store.put(keys[index], result)
             if disk is not None:
                 disk.put(fa, todo[index], result)
 
@@ -564,7 +567,7 @@ def relation_map(
                 f.index: f.error for f in computed.failures
             }
             failures: list[tuple[int, TaskError]] = []
-            for j, (key, positions) in enumerate(pending.items()):
+            for j, positions in enumerate(pending.values()):
                 if j in failed:
                     failures.extend((i, failed[j]) for i in positions)
                     continue
@@ -588,9 +591,7 @@ def relation_map(
                 timeouts=computed.timeouts,
                 downgrades=computed.downgrades,
             )
-        for j, ((key, positions), result) in enumerate(
-            zip(pending.items(), computed)
-        ):
+        for j, (positions, result) in enumerate(zip(pending.values(), computed)):
             bank(j, result)
             for i in positions:
                 results[i] = result

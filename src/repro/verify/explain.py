@@ -29,7 +29,7 @@ def _expected_patterns(spec: FA, configs: set) -> list[str]:
     """The transition labels leaving any live configuration."""
     out = set()
     for state, _binding in configs:
-        for _, t in spec._by_src[state]:
+        for _, t in spec.outgoing(state):
             out.add(str(t.pattern))
     return sorted(out)
 

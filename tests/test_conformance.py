@@ -137,7 +137,7 @@ class TestCC001:
     def test_subscript_store_and_augassign(self):
         src = (
             "def a(fa):\n"
-            "    fa._by_src[0] = []\n"
+            "    fa._outgoing[0] = []\n"
             "def b(fa):\n"
             "    fa.states += (9,)\n"
         )

@@ -1,0 +1,253 @@
+"""Differential tests: the bucketed Godin insertion ≡ the sort-based one.
+
+The builder walks concepts through intent-size buckets and picks a new
+concept's parents by a descending-size scan.  These tests pin it to the
+insertion it replaced, written out here as a reference: every insertion
+re-sorts all concepts by intent size and finds parents (and children)
+by all-pairs maximality scans.  On random contexts both must produce
+the same lattice bit for bit — the same concept order, extents, intents,
+parents and children — for a plain build, for ``from_lattice`` followed
+by ``add_object``, for a resume from the checkpoint of a
+``BudgetExceeded``, and when rows bring attributes no earlier row had
+(the bottom-growth path).
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.context import FormalContext, mask_of, set_of
+from repro.core.godin import GodinLatticeBuilder, build_lattice_godin
+from repro.robustness.budget import Budget
+from repro.robustness.errors import BudgetExceeded
+from repro.workloads.specs_catalog import SPEC_CATALOG
+
+
+# --------------------------------------------------------------------- #
+# reference semantics: sort every concept by intent size per insertion
+# --------------------------------------------------------------------- #
+
+
+class RefGodin:
+    """Godin's Algorithm 1 on bitmasks, re-sorting on every insertion."""
+
+    def __init__(self, extents=(), intents=(), parents=(), children=(),
+                 all_attrs: int = 0) -> None:
+        self.extents = list(extents)
+        self.intents = list(intents)
+        self.parents = [set(p) for p in parents]
+        self.children = [set(c) for c in children]
+        self.all_attrs = all_attrs
+
+    @classmethod
+    def of_lattice(cls, lattice) -> "RefGodin":
+        return cls(
+            [mask_of(c.extent) for c in lattice.concepts],
+            [mask_of(c.intent) for c in lattice.concepts],
+            lattice.parents,
+            lattice.children,
+            mask_of(lattice.context.all_attributes),
+        )
+
+    def new_concept(self, extent: int, intent: int) -> int:
+        self.extents.append(extent)
+        self.intents.append(intent)
+        self.parents.append(set())
+        self.children.append(set())
+        return len(self.intents) - 1
+
+    def link(self, child: int, parent: int) -> None:
+        self.children[parent].add(child)
+        self.parents[child].add(parent)
+
+    def unlink(self, child: int, parent: int) -> None:
+        self.children[parent].discard(child)
+        self.parents[child].discard(parent)
+
+    def bottom(self) -> int:
+        return next(i for i, intent in enumerate(self.intents) if intent == self.all_attrs)
+
+    def grow_bottom(self, grown: int) -> None:
+        bottom = self.bottom()
+        if not self.extents[bottom]:
+            self.intents[bottom] = grown
+        else:
+            self.link(self.new_concept(0, grown), bottom)
+        self.all_attrs = grown
+
+    def insert(self, obj: int, row: int) -> None:
+        obj_bit = 1 << obj
+        if not self.intents:
+            self.all_attrs = row
+            self.new_concept(obj_bit, row)
+            return
+        if row & ~self.all_attrs:
+            self.grow_bottom(self.all_attrs | row)
+        intents, extents = self.intents, self.extents
+        snapshot = sorted(range(len(intents)), key=lambda c: intents[c].bit_count())
+        updated: dict[int, int] = {}
+        for c in snapshot:
+            intent = intents[c]
+            if not intent & ~row:
+                extents[c] |= obj_bit
+                updated[intent] = c
+                continue
+            meet = intent & row
+            if meet in updated:
+                continue
+            new = self.new_concept(extents[c] | obj_bit, meet)
+            updated[meet] = new
+            candidates = [
+                d for intent_d, d in updated.items()
+                if intent_d != meet and not meet & ~intent_d and d != new
+            ]
+            candidates.append(c)
+            children = [
+                d for d in candidates
+                if not any(
+                    e != d and extents[d] != extents[e] and not extents[d] & ~extents[e]
+                    for e in candidates
+                )
+            ]
+            above = [
+                d for intent_d, d in updated.items()
+                if intent_d != meet and not intent_d & ~meet and d != new
+            ]
+            parents = [
+                d for d in above
+                if not any(
+                    e != d and intents[d] != intents[e] and not intents[d] & ~intents[e]
+                    for e in above
+                )
+            ]
+            for child in children:
+                self.link(child, new)
+            for parent in parents:
+                self.link(new, parent)
+            for child in children:
+                for parent in parents:
+                    if parent in self.parents[child]:
+                        self.unlink(child, parent)
+
+    def finish(self, context: FormalContext) -> "RefGodin":
+        """The tail of ``build_lattice_godin``: the bottom takes every
+        attribute of the context, used by some row or not."""
+        all_bits = context.bits.all_attributes_bits
+        if context.num_objects == 0:
+            self.new_concept(0, all_bits)
+            self.all_attrs = all_bits
+        elif all_bits & ~self.all_attrs:
+            self.grow_bottom(all_bits)
+        return self
+
+
+def ref_build(context: FormalContext) -> RefGodin:
+    ref = RefGodin()
+    for obj, row in enumerate(context.bits.rows_bits):
+        ref.insert(obj, row)
+    return ref.finish(context)
+
+
+def assert_same(lattice, ref: RefGodin) -> None:
+    """Concept order, extents, intents, parents and children all agree."""
+    assert [(c.extent, c.intent) for c in lattice.concepts] == [
+        (set_of(e), set_of(i)) for e, i in zip(ref.extents, ref.intents)
+    ]
+    assert list(lattice.parents) == [tuple(sorted(p)) for p in ref.parents]
+    assert list(lattice.children) == [tuple(sorted(c)) for c in ref.children]
+
+
+# --------------------------------------------------------------------- #
+# generators
+# --------------------------------------------------------------------- #
+
+
+@st.composite
+def contexts(draw, max_objects: int = 12, max_attrs: int = 7) -> FormalContext:
+    """Random contexts; attribute ids may exceed any row's, so the final
+    bottom often has to grow past every row."""
+    num_attrs = draw(st.integers(0, max_attrs))
+    rows = draw(
+        st.lists(
+            st.frozensets(st.integers(0, max(num_attrs - 1, 0)), max_size=num_attrs)
+            if num_attrs
+            else st.just(frozenset()),
+            max_size=max_objects,
+        )
+    )
+    return FormalContext(
+        [f"o{i}" for i in range(len(rows))],
+        [f"a{j}" for j in range(num_attrs)],
+        rows,
+    )
+
+
+def prefix_context(context: FormalContext, k: int) -> FormalContext:
+    return FormalContext(context.objects[:k], context.attributes, context.rows[:k])
+
+
+# --------------------------------------------------------------------- #
+# tests
+# --------------------------------------------------------------------- #
+
+
+class TestGodinMatchesSortedInsert:
+    @given(contexts())
+    @settings(max_examples=300, deadline=None)
+    def test_plain_build(self, context):
+        assert_same(build_lattice_godin(context), ref_build(context))
+
+    @given(contexts(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_from_lattice_then_add_object(self, context, data):
+        k = data.draw(st.integers(0, context.num_objects))
+        start = build_lattice_godin(prefix_context(context, k))
+        builder = GodinLatticeBuilder.from_lattice(start)
+        ref = RefGodin.of_lattice(start)
+        for obj in range(k, context.num_objects):
+            builder.add_object(obj, context.rows[obj])
+            ref.insert(obj, context.bits.rows_bits[obj])
+        assert_same(builder.build(context), ref)
+
+    @given(contexts(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_resume_after_budget_exceeded(self, context, data):
+        limit = data.draw(st.integers(0, max(context.num_objects - 1, 0)))
+        budget = Budget(max_objects=limit, checkpoint_every=1)
+        try:
+            lattice = build_lattice_godin(context, budget=budget)
+        except BudgetExceeded as exc:
+            assert exc.checkpoint.num_objects == limit
+            lattice = build_lattice_godin(context, resume_from=exc.checkpoint)
+        assert_same(lattice, ref_build(context))
+
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=8),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_bringing_new_attributes(self, widths, spare):
+        # Row i uses attributes nobody used before it (plus, on odd
+        # rows, every attribute seen so far), so every insertion grows
+        # the bottom: sometimes by widening an empty-extent bottom,
+        # sometimes by hanging a fresh one under a populated bottom.
+        rows, seen = [], 0
+        for i, width in enumerate(widths):
+            fresh = frozenset(range(seen, seen + width))
+            rows.append(fresh | (frozenset(range(seen)) if i % 2 else frozenset()))
+            seen += width
+        context = FormalContext(
+            [f"o{i}" for i in range(len(rows))],
+            [f"a{j}" for j in range(seen + spare)],
+            rows,
+        )
+        assert_same(build_lattice_godin(context), ref_build(context))
+
+
+@pytest.mark.parametrize("spec", SPEC_CATALOG, ids=lambda spec: spec.name)
+def test_catalog_contexts(spec):
+    from repro.workloads.pipeline import cached_run
+
+    context = cached_run(spec.name).clustering.lattice.context
+    assert_same(build_lattice_godin(context), ref_build(context))

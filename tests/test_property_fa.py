@@ -4,6 +4,13 @@ Random symbolic NFAs are generated and the classical identities checked:
 determinization and minimization preserve the language, complement flips
 membership, the product constructions satisfy the Boolean laws, and the
 executed-transitions relation is consistent with acceptance.
+
+The relation R of Section 3.2 is also checked differentially on NFAs
+with data: patterns with variables, literals and ``_`` slots, arities
+0-2 and ``*`` wildcards, against traces whose events carry arguments.
+The reference enumerates accepting paths by trying *every* transition
+out of a state, so a fault in the FA's symbol index (say, a state that
+mixes symbol and wildcard transitions) shows up as a difference.
 """
 
 import itertools
@@ -20,15 +27,38 @@ from repro.fa.ops import (
     symbol_complement,
     union,
 )
-from repro.lang.events import Event, parse_pattern
+from repro.lang.events import (
+    ANY,
+    EMPTY_BINDING,
+    WILDCARD_SYMBOL,
+    Event,
+    EventPattern,
+    Lit,
+    Var,
+    parse_pattern,
+)
 from repro.lang.traces import Trace
 
 ALPHABET = ("a", "b", "c")
+#: Object identifiers of events with data, and the pattern slots over them.
+IDENTS = ("1", "2")
+ARG_PATTERNS = (Var("X"), Var("Y"), Lit("1"), Lit("2"), ANY)
 
 
 @st.composite
-def nfas(draw):
-    """Small random NFAs over a fixed 3-symbol alphabet."""
+def data_patterns(draw) -> EventPattern:
+    """A symbol of arity 0-2 with variable/literal/``_`` slots, or ``*``."""
+    if draw(st.integers(0, 4)) == 0:
+        return EventPattern(WILDCARD_SYMBOL)
+    symbol = draw(st.sampled_from(ALPHABET))
+    args = draw(st.lists(st.sampled_from(ARG_PATTERNS), max_size=2))
+    return EventPattern(symbol, tuple(args))
+
+
+@st.composite
+def nfas(draw, data: bool = False):
+    """Small random NFAs over a fixed 3-symbol alphabet; with ``data``,
+    labels are :func:`data_patterns` instead of bare symbols."""
     num_states = draw(st.integers(1, 4))
     states = [f"q{i}" for i in range(num_states)]
     num_edges = draw(st.integers(0, 8))
@@ -36,11 +66,67 @@ def nfas(draw):
     for _ in range(num_edges):
         src = draw(st.sampled_from(states))
         dst = draw(st.sampled_from(states))
-        sym = draw(st.sampled_from(ALPHABET))
-        transitions.append(Transition(src, parse_pattern(sym), dst))
+        if data:
+            pattern = draw(data_patterns())
+        else:
+            pattern = parse_pattern(draw(st.sampled_from(ALPHABET)))
+        transitions.append(Transition(src, pattern, dst))
     initial = draw(st.sets(st.sampled_from(states), min_size=1))
     accepting = draw(st.sets(st.sampled_from(states)))
     return FA(states, initial, accepting, transitions)
+
+
+events_with_data = st.builds(
+    Event,
+    st.sampled_from(ALPHABET),
+    st.lists(st.sampled_from(IDENTS), max_size=2).map(tuple),
+)
+traces_with_data = st.lists(events_with_data, max_size=4).map(lambda e: Trace(tuple(e)))
+
+
+@st.composite
+def walked_traces(draw, fa: FA) -> Trace:
+    """A trace read off a random walk through ``fa``: each step's event
+    instantiates the label (a fresh random event for ``*``), so many of
+    these traces are accepted and exercise variable bindings."""
+    state = draw(st.sampled_from(sorted(fa.initial)))
+    events = []
+    for _ in range(draw(st.integers(0, 4))):
+        leaving = [t for t in fa.transitions if t.src == state]
+        if not leaving:
+            break
+        t = draw(st.sampled_from(leaving))
+        if t.pattern.is_wildcard:
+            events.append(draw(events_with_data))
+        else:
+            args = tuple(
+                a.value if isinstance(a, Lit) else draw(st.sampled_from(IDENTS))
+                for a in t.pattern.args
+            )
+            events.append(Event(t.pattern.symbol, args))
+        state = t.dst
+    return Trace(tuple(events))
+
+
+def paths_by_scan(fa: FA, trace: Trace) -> list[tuple[int, ...]]:
+    """Accepting paths by the literal definition: at every step try each
+    transition of the FA that leaves the current state."""
+    out: list[tuple[int, ...]] = []
+
+    def walk(i, state, binding, path):
+        if i == len(trace):
+            if state in fa.accepting:
+                out.append(tuple(path))
+            return
+        for index, t in enumerate(fa.transitions):
+            if t.src == state:
+                new_binding = t.pattern.match(trace[i], binding)
+                if new_binding is not None:
+                    walk(i + 1, t.dst, new_binding, path + [index])
+
+    for start in fa.initial:
+        walk(0, start, EMPTY_BINDING, [])
+    return out
 
 
 def strings_upto(n):
@@ -146,3 +232,41 @@ class TestExecutedTransitions:
                 [fa.transitions[i] for i in sorted(executed)]
             )
             assert restricted.accepts(trace)
+
+
+class TestRelationWithData:
+    """Relation R ≡ the union of the accepting paths, on NFAs with data."""
+
+    @given(nfas(data=True), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_relation_equals_union_of_scanned_paths(self, fa, data):
+        traces = data.draw(st.lists(traces_with_data, min_size=1, max_size=4))
+        traces += data.draw(st.lists(walked_traces(fa), min_size=1, max_size=4))
+        for trace in traces:
+            paths = paths_by_scan(fa, trace)
+            assert fa.accepting_paths(trace, limit=10**6) == paths
+            result = fa.relation(trace)
+            assert result.executed == frozenset(i for path in paths for i in path)
+            assert result.accepted == fa.accepts(trace) == bool(paths)
+
+    def test_state_mixing_symbol_and_wildcard_transitions(self):
+        fa = FA.from_edges(
+            [
+                ("q0", "a(X)", "q1"),
+                ("q0", "*", "q1"),
+                ("q0", "b(X, 1)", "q0"),
+                ("q0", "*", "q0"),
+                ("q1", "c(X)", "q2"),
+            ],
+            initial=["q0"],
+            accepting=["q2"],
+        )
+        trace = Trace((Event("b", ("7", "1")), Event("a", ("7",)), Event("c", ("7",))))
+        paths = paths_by_scan(fa, trace)
+        assert paths == [(2, 0, 4), (2, 1, 4), (3, 0, 4), (3, 1, 4)]
+        assert fa.accepting_paths(trace) == paths
+        assert fa.relation(trace).executed == frozenset({0, 1, 2, 3, 4})
+        # A symbol the state has no transition for takes only wildcards.
+        other = Trace((Event("d"), Event("c", ("7",))))
+        assert fa.accepting_paths(other) == paths_by_scan(fa, other) == [(1, 4)]
+        assert [index for index, _ in fa.outgoing("q0")] == [0, 1, 2, 3]
