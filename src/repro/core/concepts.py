@@ -103,14 +103,6 @@ class ConceptLattice:
                 )
             self.top = tops[0]
             self.bottom = bottoms[0]
-        self._object_concept: dict[int, int] = {}
-        for i, concept in enumerate(self.concepts):
-            for o in concept.extent:
-                best = self._object_concept.get(o)
-                if best is None or len(concept.extent) < len(
-                    self.concepts[best].extent
-                ):
-                    self._object_concept[o] = i
         if _INVARIANT_CHECK is not None:
             _INVARIANT_CHECK(self)
 
@@ -155,6 +147,21 @@ class ConceptLattice:
 
     def similarity(self, c: int) -> int:
         return self.concepts[self._check_index(c)].similarity
+
+    @cached_property
+    def _object_concept(self) -> dict[int, int]:
+        """γ for every object, by one scan of every extent (smallest
+        extent wins, the first on ties); built on first use, so
+        constructing a lattice pays nothing for it."""
+        gamma: dict[int, int] = {}
+        for i, concept in enumerate(self.concepts):
+            for o in concept.extent:
+                best = gamma.get(o)
+                if best is None or len(concept.extent) < len(
+                    self.concepts[best].extent
+                ):
+                    gamma[o] = i
+        return gamma
 
     def object_concept(self, obj: int) -> int:
         """γ(obj): the smallest concept whose extent contains ``obj``."""

@@ -12,22 +12,30 @@ existing concepts split into
   the (unique) concept with the smallest intent realizing it spawns a
   **new** concept ``(extent ∪ {x}, Int)``.
 
-Hasse edges are maintained locally: a new concept's children are the
-generator plus the maximal new/modified concepts with strictly larger
-intent; its parents are the new/modified concepts with maximal strictly
-smaller intent; edges that the insertion makes transitive (child-of-new to
-parent-of-new) are removed.
+Concept ids follow Algorithm 1, which visits the old concepts by
+ascending intent size (ties by id) and creates a new concept at each
+generator it meets.  A generator is the **closure** of its meet in the
+old lattice: the unique smallest-intent concept whose intent contains
+it.  The builder finds the meets and closures without visiting every
+concept, in the manner of AddIntent (van der Merwe, Obiedkov and Kourie,
+ICFCA 2004):
 
-Algorithm 1 visits the existing concepts by ascending intent size.  The
-builder keeps concept ids in **buckets by intent size** (each bucket in
-ascending id order), updated as concepts are created and as the bottom
-grows, so an insertion walks the buckets instead of re-sorting every
-concept — the same (size, id) order a stable sort would give.  A new
-concept's parents are picked by scanning its candidates by descending
-intent size against the parents already chosen: a candidate that is not
-maximal lies under a strictly larger maximal one, which was chosen
-first.  That replaces an all-pairs maximality scan, and the links are
-still made in the old candidate order.
+1. Starting at the bottom with meet ``f(x)``, it climbs to any parent
+   whose intent still contains the meet; where no parent does, it has
+   reached the closure.  The closure's parents give the next meets
+   (``parent intent ∩ f(x)``), each closed once.  A closure whose intent
+   is its meet is modified; any other is a generator.
+2. It creates the new concepts in ascending (|generator intent|,
+   generator id) order — Algorithm 1's order, so the ids are the same.
+   A new concept's parents come from the meets of its generator's
+   parents, each now the intent of a modified or an earlier new
+   concept: scanned largest first, a meet is kept unless a kept one
+   contains it.  Its one child is its generator, which drops the old
+   parent edges the new concept now covers.  Later new concepts hang
+   under it in turn.
+
+An insertion so touches the closures it finds and their parents, not
+the whole lattice.
 
 Intents and extents are held as **int bitmasks** throughout (see
 :class:`~repro.core.context.BitContext`): the subset tests, meets, and
@@ -38,8 +46,9 @@ straight from the context's precomputed row masks.  The public API is
 unchanged — checkpoints and built lattices still speak frozensets.
 
 The builder also maintains the lattice-wide invariant that a concept with
-intent = (all attributes seen so far) always exists — the canonical bottom
-— growing or splitting it when an object introduces fresh attributes.
+intent = (all attributes seen so far) always exists — the canonical bottom,
+whose id it keeps — growing or splitting it when an object introduces
+fresh attributes.  Every insertion starts there.
 
 Construction can be **budgeted** (:class:`~repro.robustness.budget.Budget`):
 the builder checks wall time and object count before every insertion and
@@ -57,10 +66,8 @@ contexts.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 from repro import obs
 from repro.core.concepts import Concept, ConceptLattice
@@ -104,8 +111,8 @@ class GodinLatticeBuilder:
         self._intents: list[int] = []
         self._parents: list[set[int]] = []
         self._children: list[set[int]] = []
-        #: Concept ids by intent size, each bucket in ascending id order.
-        self._by_size: list[list[int]] = []
+        #: Id of the concept whose intent is every attribute seen so far.
+        self._bottom: int | None = None
         self._all_attrs: int = 0
         self._num_objects = 0
         self._budget = budget if budget and not budget.unlimited else None
@@ -131,7 +138,7 @@ class GodinLatticeBuilder:
             builder._intents.append(mask_of(concept.intent))
         builder._parents = [set(p) for p in lattice.parents]
         builder._children = [set(c) for c in lattice.children]
-        builder._index_sizes()
+        builder._bottom = lattice.bottom
         builder._all_attrs = mask_of(lattice.context.all_attributes)
         builder._num_objects = lattice.context.num_objects
         obs.inc("godin.resumes")
@@ -151,8 +158,11 @@ class GodinLatticeBuilder:
         builder._intents = [mask_of(i) for i in checkpoint.intents]
         builder._parents = [set(p) for p in checkpoint.parents]
         builder._children = [set(c) for c in checkpoint.children]
-        builder._index_sizes()
         builder._all_attrs = mask_of(checkpoint.all_attrs)
+        builder._bottom = next(
+            (c for c, i in enumerate(builder._intents) if i == builder._all_attrs),
+            None,
+        )
         builder._num_objects = checkpoint.num_objects
         obs.inc("godin.resumes")
         return builder
@@ -220,25 +230,12 @@ class GodinLatticeBuilder:
     def num_concepts(self) -> int:
         return len(self._intents)
 
-    def _bucket(self, size: int) -> list[int]:
-        while len(self._by_size) <= size:
-            self._by_size.append([])
-        return self._by_size[size]
-
-    def _index_sizes(self) -> None:
-        """Rebuild the intent-size buckets from ``_intents``."""
-        self._by_size = []
-        for c, intent in enumerate(self._intents):
-            self._bucket(intent.bit_count()).append(c)
-
     def _new_concept(self, extent: int, intent: int) -> int:
         self._extents.append(extent)
         self._intents.append(intent)
         self._parents.append(set())
         self._children.append(set())
-        c = len(self._intents) - 1
-        self._bucket(intent.bit_count()).append(c)
-        return c
+        return len(self._intents) - 1
 
     def _link(self, child: int, parent: int) -> None:
         self._children[parent].add(child)
@@ -248,22 +245,15 @@ class GodinLatticeBuilder:
         self._children[parent].discard(child)
         self._parents[child].discard(parent)
 
-    def _bottom_concept(self) -> int:
-        for c in self._bucket(self._all_attrs.bit_count()):
-            if self._intents[c] == self._all_attrs:
-                return c
-        raise RuntimeError("invariant violated: no concept with full intent")
-
     def _grow_bottom(self, grown: int) -> None:
         """Widen the attribute universe to ``grown`` (a superset of it),
         keeping a concept whose intent is all of it: an empty-extent
         bottom just widens its intent, any other gets a fresh child."""
-        bottom = self._bottom_concept()
+        bottom = self._bottom
         if self._extents[bottom]:
-            self._link(self._new_concept(0, grown), bottom)
+            self._bottom = self._new_concept(0, grown)
+            self._link(self._bottom, bottom)
         else:
-            self._by_size[self._intents[bottom].bit_count()].remove(bottom)
-            insort(self._bucket(grown.bit_count()), bottom)
             self._intents[bottom] = grown
         self._all_attrs = grown
 
@@ -317,7 +307,7 @@ class GodinLatticeBuilder:
         self._num_objects += 1
         if not self._intents:
             self._all_attrs = row
-            self._new_concept(obj_bit, row)
+            self._bottom = self._new_concept(obj_bit, row)
             return
 
         if row & ~self._all_attrs:
@@ -325,71 +315,71 @@ class GodinLatticeBuilder:
             # invariant before the main pass.
             self._grow_bottom(self._all_attrs | row)
 
-        # Walk the existing concepts by ascending (intent size, id).  A
-        # concept created during the pass has intent ``meet``, strictly
-        # inside its generator's, so it joins a bucket the walk has
-        # already left: the walk sees exactly the concepts that existed
-        # before it, and the new ones are consulted through ``updated``.
         intents = self._intents
         extents = self._extents
-        updated: dict[int, int] = {}
-        for c in chain.from_iterable(self._by_size):
-            intent = intents[c]
-            meet = intent & row
-            if meet == intent:
-                # Modified concept (intent ⊆ row).
-                extents[c] |= obj_bit
-                updated[intent] = c
-                continue
-            if meet in updated:
-                continue
-            # ``c`` is the canonical generator for this intersection.
-            new = self._new_concept(extents[c] | obj_bit, meet)
-            updated[meet] = new
+        parents = self._parents
+        # Phase 1, on the old lattice: every distinct meet ``intent ∩ row``
+        # with its closure, the smallest-intent concept whose intent
+        # contains it.  Climbing from a concept whose meet is ``meet`` to
+        # any parent with the same meet ends at the closure, the concept
+        # none of whose parents has it; the meets of the closure's
+        # parents are the next ones to close.
+        closures: dict[int, tuple[int, dict[int, int]]] = {}
+        pending = [(self._bottom, row)]
+        seen = {row}
+        while pending:
+            c, meet = pending.pop()
+            while True:
+                above: dict[int, int] = {}
+                for p in parents[c]:
+                    above_meet = intents[p] & row
+                    if above_meet == meet:
+                        break
+                    above[above_meet] = p
+                else:
+                    break
+                c = p
+            closures[meet] = c, above
+            for above_meet, p in above.items():
+                if above_meet not in seen:
+                    seen.add(above_meet)
+                    pending.append((p, above_meet))
 
-            # Children: the generator plus maximal updated concepts whose
-            # intent strictly contains ``meet``.
-            candidates = [
-                d
-                for intent_d, d in updated.items()
-                if intent_d != meet and not meet & ~intent_d and d != new
-            ]
-            candidates.append(c)
-            children = [
-                d
-                for d in candidates
-                if not any(
-                    e != d
-                    and extents[d] != extents[e]
-                    and not extents[d] & ~extents[e]
-                    for e in candidates
-                )
-            ]
-            # Parents: updated concepts with maximal intent strictly below.
-            above = [
-                d
-                for intent_d, d in updated.items()
-                if intent_d != meet and not intent_d & ~meet and d != new
-            ]
-            # Largest intents first, each kept unless a kept one contains
-            # it (``updated`` maps distinct intents, so strictly); linked
-            # in ``above`` order.
-            maximal: list[int] = []
-            by_size = sorted(above, key=lambda d: intents[d].bit_count(), reverse=True)
-            for d in by_size:
-                if all(intents[d] & ~intents[p] for p in maximal):
-                    maximal.append(d)
-            chosen = set(maximal)
-            parents = [d for d in above if d in chosen]
-            for child in children:
-                self._link(child, new)
-            for parent in parents:
-                self._link(new, parent)
-            # Drop edges the new concept made transitive.
-            for child in children:
-                for parent in parents:
-                    if parent in self._parents[child]:
-                        self._unlink(child, parent)
+        # Phase 2: a closure whose intent is its meet is modified (the
+        # object joins its extent); any other generates the new concept
+        # ``(extent ∪ {obj}, meet)``.  New concepts are made in
+        # Algorithm 1's order, ascending (|generator intent|, generator),
+        # so a new concept's parents, all of smaller meet, exist already.
+        updated: dict[int, int] = {}
+        generators = []
+        for meet, (c, above) in closures.items():
+            if intents[c] == meet:
+                extents[c] |= obj_bit
+                updated[meet] = c
+            else:
+                generators.append((intents[c].bit_count(), c, meet, above))
+        generators.sort()
+        for _, g, meet, above in generators:
+            new = self._new_concept(extents[g] | obj_bit, meet)
+            updated[meet] = new
+            # Its parents: the concepts with the largest of the meets of
+            # the generator's parents, each kept unless a kept one
+            # contains it.  Its one child is the generator, which loses
+            # the parent edges the new concept now covers.
+            chosen: list[int] = []
+            for above_meet in sorted(above, key=int.bit_count, reverse=True):
+                for kept in chosen:
+                    if not above_meet & ~kept:
+                        break
+                else:
+                    chosen.append(above_meet)
+            old_parents = parents[g]
+            for above_meet in chosen:
+                u = updated[above_meet]
+                self._link(new, u)
+                if u in old_parents:
+                    self._unlink(g, u)
+            self._link(g, new)
 
     # ------------------------------------------------------------------ #
     # result

@@ -1,10 +1,14 @@
 """Concepts, the concept lattice, and its navigation operations."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.batch import build_lattice_batch
 from repro.core.concepts import Concept
 from repro.core.context import FormalContext
+from repro.core.godin import build_lattice_godin
+from repro.core.nextclosure import build_lattice_nextclosure
+from repro.robustness.errors import LookupInputError
 
 
 @pytest.fixture
@@ -100,6 +104,53 @@ class TestNavigation:
         assert set(seen) == set(lattice.context.all_objects)
         for o, c in seen.items():
             assert lattice.object_concept(o) == c
+
+
+@st.composite
+def contexts(draw):
+    num_objects = draw(st.integers(0, 8))
+    num_attrs = draw(st.integers(0, 6))
+    rows = [
+        draw(st.frozensets(st.integers(0, max(num_attrs - 1, 0)), max_size=num_attrs))
+        for _ in range(num_objects)
+    ]
+    return FormalContext(
+        [f"o{i}" for i in range(num_objects)],
+        [f"a{j}" for j in range(num_attrs)],
+        rows,
+    )
+
+
+def eager_object_concepts(lattice) -> dict[int, int]:
+    """γ by a scan of every extent: the smallest extent containing the
+    object, the first concept on ties."""
+    gamma: dict[int, int] = {}
+    for i, concept in enumerate(lattice.concepts):
+        for o in concept.extent:
+            best = gamma.get(o)
+            if best is None or len(concept.extent) < len(lattice.extent(best)):
+                gamma[o] = i
+    return gamma
+
+
+class TestObjectConceptIndex:
+    @pytest.mark.parametrize(
+        "build",
+        [build_lattice_godin, build_lattice_nextclosure, build_lattice_batch],
+        ids=["godin", "nextclosure", "batch"],
+    )
+    @given(ctx=contexts())
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_index_equals_eager_scan(self, build, ctx):
+        lattice = build(ctx)
+        # The first lookup builds the index, and an unknown object
+        # still raises.
+        with pytest.raises(LookupInputError):
+            lattice.object_concept(ctx.num_objects)
+        expected = eager_object_concepts(lattice)
+        assert set(expected) == set(range(ctx.num_objects))
+        for o in range(ctx.num_objects):
+            assert lattice.object_concept(o) == expected[o]
 
 
 class TestMeetJoin:

@@ -1,15 +1,20 @@
-"""Differential tests: the bucketed Godin insertion ≡ the sort-based one.
+"""Differential tests: the closure-climbing Godin insertion ≡ the full walk.
 
-The builder walks concepts through intent-size buckets and picks a new
-concept's parents by a descending-size scan.  These tests pin it to the
-insertion it replaced, written out here as a reference: every insertion
-re-sorts all concepts by intent size and finds parents (and children)
-by all-pairs maximality scans.  On random contexts both must produce
-the same lattice bit for bit — the same concept order, extents, intents,
+The builder finds an insertion's meets and their generators by climbing
+from the bottom concept, creates the new concepts in ascending
+(|generator intent|, generator id) order and picks each one's parents
+among the meets of its generator's parents.  These tests pin it to
+Algorithm 1 written out plainly as a reference: every insertion re-sorts
+all concepts by intent size, visits every one of them, and finds parents
+(and children) by all-pairs maximality scans.  Both must produce the
+same lattice bit for bit — the same concept order, extents, intents,
 parents and children — for a plain build, for ``from_lattice`` followed
 by ``add_object``, for a resume from the checkpoint of a
 ``BudgetExceeded``, and when rows bring attributes no earlier row had
-(the bottom-growth path).
+(the bottom-growth path).  Small dense contexts exercise deep climbs and
+modified concepts; sparse bulk-shaped ones (a few attributes per row,
+most rows new) give the bottom a high fan-in, as clustering a corpus
+does.
 """
 
 from __future__ import annotations
@@ -183,6 +188,25 @@ def contexts(draw, max_objects: int = 12, max_attrs: int = 7) -> FormalContext:
     )
 
 
+@st.composite
+def sparse_contexts(draw) -> FormalContext:
+    """Bulk-shaped contexts: 20–60 objects whose rows hold 2–4 of 10–16
+    attributes, so most rows are new and the bottom has many parents."""
+    num_attrs = draw(st.integers(10, 16))
+    rows = draw(
+        st.lists(
+            st.frozensets(st.integers(0, num_attrs - 1), min_size=2, max_size=4),
+            min_size=20,
+            max_size=60,
+        )
+    )
+    return FormalContext(
+        [f"o{i}" for i in range(len(rows))],
+        [f"a{j}" for j in range(num_attrs)],
+        rows,
+    )
+
+
 def prefix_context(context: FormalContext, k: int) -> FormalContext:
     return FormalContext(context.objects[:k], context.attributes, context.rows[:k])
 
@@ -192,35 +216,47 @@ def prefix_context(context: FormalContext, k: int) -> FormalContext:
 # --------------------------------------------------------------------- #
 
 
+def check_plain_build(context: FormalContext) -> None:
+    assert_same(build_lattice_godin(context), ref_build(context))
+
+
+def check_from_lattice_then_add_object(context: FormalContext, k: int) -> None:
+    start = build_lattice_godin(prefix_context(context, k))
+    builder = GodinLatticeBuilder.from_lattice(start)
+    ref = RefGodin.of_lattice(start)
+    for obj in range(k, context.num_objects):
+        builder.add_object(obj, context.rows[obj])
+        ref.insert(obj, context.bits.rows_bits[obj])
+    assert_same(builder.build(context), ref)
+
+
+def check_resume_after_budget_exceeded(context: FormalContext, limit: int) -> None:
+    budget = Budget(max_objects=limit, checkpoint_every=1)
+    try:
+        lattice = build_lattice_godin(context, budget=budget)
+    except BudgetExceeded as exc:
+        assert exc.checkpoint.num_objects == limit
+        lattice = build_lattice_godin(context, resume_from=exc.checkpoint)
+    assert_same(lattice, ref_build(context))
+
+
 class TestGodinMatchesSortedInsert:
     @given(contexts())
     @settings(max_examples=300, deadline=None)
     def test_plain_build(self, context):
-        assert_same(build_lattice_godin(context), ref_build(context))
+        check_plain_build(context)
 
     @given(contexts(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_from_lattice_then_add_object(self, context, data):
         k = data.draw(st.integers(0, context.num_objects))
-        start = build_lattice_godin(prefix_context(context, k))
-        builder = GodinLatticeBuilder.from_lattice(start)
-        ref = RefGodin.of_lattice(start)
-        for obj in range(k, context.num_objects):
-            builder.add_object(obj, context.rows[obj])
-            ref.insert(obj, context.bits.rows_bits[obj])
-        assert_same(builder.build(context), ref)
+        check_from_lattice_then_add_object(context, k)
 
     @given(contexts(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_resume_after_budget_exceeded(self, context, data):
         limit = data.draw(st.integers(0, max(context.num_objects - 1, 0)))
-        budget = Budget(max_objects=limit, checkpoint_every=1)
-        try:
-            lattice = build_lattice_godin(context, budget=budget)
-        except BudgetExceeded as exc:
-            assert exc.checkpoint.num_objects == limit
-            lattice = build_lattice_godin(context, resume_from=exc.checkpoint)
-        assert_same(lattice, ref_build(context))
+        check_resume_after_budget_exceeded(context, limit)
 
     @given(
         st.lists(st.integers(1, 4), min_size=1, max_size=8),
@@ -243,6 +279,25 @@ class TestGodinMatchesSortedInsert:
             rows,
         )
         assert_same(build_lattice_godin(context), ref_build(context))
+
+
+class TestGodinMatchesSortedInsertOnSparseContexts:
+    @given(sparse_contexts())
+    @settings(max_examples=100, deadline=None)
+    def test_plain_build(self, context):
+        check_plain_build(context)
+
+    @given(sparse_contexts(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_from_lattice_then_add_object(self, context, data):
+        k = data.draw(st.integers(0, context.num_objects))
+        check_from_lattice_then_add_object(context, k)
+
+    @given(sparse_contexts(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_resume_after_budget_exceeded(self, context, data):
+        limit = data.draw(st.integers(0, context.num_objects - 1))
+        check_resume_after_budget_exceeded(context, limit)
 
 
 @pytest.mark.parametrize("spec", SPEC_CATALOG, ids=lambda spec: spec.name)
