@@ -23,6 +23,10 @@ from dataclasses import dataclass, field
 
 from repro.lang.events import Event, parse_event
 
+#: The first standardized object names, by order of first appearance;
+#: later objects become ``N6``, ``N7``, ...
+STANDARD_NAMES: tuple[str, ...] = ("X", "Y", "Z", "W", "V", "U")
+
 
 @dataclass(frozen=True, slots=True)
 class Trace:
@@ -69,7 +73,7 @@ class Trace:
         """Rename object identifiers in every event."""
         return Trace(tuple(e.rename(mapping) for e in self.events), self.trace_id)
 
-    def standardize_names(self, alphabet: Sequence[str] = ("X", "Y", "Z", "W", "V", "U")) -> "Trace":
+    def standardize_names(self, alphabet: Sequence[str] = STANDARD_NAMES) -> "Trace":
         """Canonicalize identifiers to ``X, Y, Z, ...`` by first appearance.
 
         Two scenario traces that differ only in concrete object identifiers

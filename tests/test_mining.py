@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.lang.traces import parse_trace
+from repro.lang.events import Event
+from repro.lang.traces import Trace, parse_trace
 from repro.mining.scenarios import ScenarioExtractor, extract_scenarios
 from repro.mining.strauss import Strauss
+from repro.robustness.errors import ReproError
 
 PROGRAM = (
     "fopen(f1); XNextEvent(e1); fread(f1); fopen(f2); "
@@ -60,6 +62,20 @@ class TestScenarioExtraction:
         assert len(scenario) == 3
         assert scenario.symbols[-1] == "seed"
 
+    def test_max_events_window_finds_seed_by_position(self):
+        # One Event object occurs twice: the window of the second
+        # occurrence is centred on it, not on the first copy.
+        seed = Event("seed", ("x",))
+        between = tuple(Event(f"p{i}", ("x",)) for i in range(4))
+        trace = Trace((seed, *between, seed), trace_id="t")
+        extractor = ScenarioExtractor(
+            seeds=frozenset(["seed"]), max_events=3, standardize=False
+        )
+        first, last = extractor.extract(trace)
+        assert last.trace_id == "t@5"
+        assert str(last) == "p2(x); p3(x); seed(x)"
+        assert str(first) == "seed(x); p0(x); p1(x)"
+
     def test_argless_seed(self):
         extractor = ScenarioExtractor(seeds=frozenset(["tick"]))
         (scenario,) = extractor.extract(parse_trace("a(x); tick; b(x)"))
@@ -69,6 +85,16 @@ class TestScenarioExtraction:
         extractor = ScenarioExtractor(seeds=frozenset(["open"]))
         with pytest.raises(ValueError):
             extractor.scenario_at(parse_trace("open(x); close(x)"), 1)
+
+    def test_bad_inputs_are_repro_errors(self):
+        with pytest.raises(ReproError, match="hops must be >= 0"):
+            ScenarioExtractor(seeds=frozenset(["open"]), hops=-1)
+        extractor = ScenarioExtractor(seeds=frozenset(["open"]))
+        with pytest.raises(ReproError, match="is not a seed"):
+            extractor.scenario_at(parse_trace("open(x); close(x)"), 1)
+        scoped = ScenarioExtractor(seeds=frozenset(["tick"]), seed_arg=0)
+        with pytest.raises(ReproError, match="lacks argument 0"):
+            scoped.extract(parse_trace("tick"))
 
     def test_extract_all(self):
         traces = [parse_trace(PROGRAM), parse_trace("fopen(q); fclose(q)")]
