@@ -1,19 +1,19 @@
 """CC002 — shared-state hazards in functions handed to the worker pool.
 
 :func:`repro.parallel.pool.parallel_map` (and the wrappers above it)
-runs the mapped function concurrently — on the thread backend it races
-against every other worker, and on the default process backend it must
-pickle.  This pass inspects each call to a parallel entry point and
+runs the mapped function in worker processes when ``jobs > 1``, where it
+must pickle, and serial fan-outs of concurrent ``cable serve`` requests
+share one process.  This pass inspects each call to a parallel entry point and
 checks the mapped callable:
 
 * a ``lambda`` or a function defined inside the calling function cannot
   pickle — a latent crash the moment the process backend is selected
-  (flagged unless the call pins ``backend="thread"``/``"serial"``);
+  (flagged unless the call pins ``backend="serial"``);
 * a module-level function whose body writes module-level state (a
   ``global`` rebind, or a subscript/attribute store or mutating method
-  call on a module-level name) without holding a lock races on the
-  thread backend and silently diverges on the process backend, where
-  each worker mutates its own copy.
+  call on a module-level name) without holding a lock races with
+  concurrent callers in the same process and silently diverges on the
+  process backend, where each worker mutates its own copy.
 
 Reads of module state are fine (workers inherit a consistent snapshot);
 writes under a ``with <...lock...>`` block are accepted as intentional.
@@ -67,7 +67,7 @@ def _is_entry_point(qualified: str | None) -> bool:
 def _pinned_safe_backend(call: ast.Call) -> bool:
     for kw in call.keywords:
         if kw.arg == "backend" and isinstance(kw.value, ast.Constant):
-            return kw.value.value in ("thread", "serial")
+            return kw.value.value == "serial"
     return False
 
 
@@ -162,7 +162,7 @@ class SharedStateRacePass(ConformancePass):
                     "the process backend (the default)",
                     suggestion=(
                         "hoist the callable to module level, or pin "
-                        'backend="thread"/"serial"'
+                        'backend="serial"'
                     ),
                 )
             return
@@ -177,7 +177,7 @@ class SharedStateRacePass(ConformancePass):
                     "parallel map cannot pickle under the process backend",
                     suggestion=(
                         "hoist the callable to module level, or pin "
-                        'backend="thread"/"serial"'
+                        'backend="serial"'
                     ),
                 )
             return
@@ -246,8 +246,8 @@ class SharedStateRacePass(ConformancePass):
                     module,
                     qualname,
                     call,
-                    f"mapped function {fn.name!r} {hazard}: racy on the "
-                    "thread backend, silently divergent on the process "
+                    f"mapped function {fn.name!r} {hazard}: racy under "
+                    "concurrent callers, silently divergent on the process "
                     "backend (each worker mutates its own copy)",
                     suggestion=(
                         "return results instead of mutating shared state, "

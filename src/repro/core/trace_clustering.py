@@ -119,7 +119,6 @@ def build_trace_context(
     traces: Sequence[Trace],
     reference_fa: FA,
     jobs: int | None = None,
-    backend: str = "process",
     *,
     retry: "RetryPolicy | int | None" = None,
     task_timeout: float | None = None,
@@ -130,8 +129,8 @@ def build_trace_context(
     Returns the context plus the list of traces the reference FA rejects
     (which cannot be clustered under it — the caller decides whether that
     is an error or whether those traces go to a different session).
-    ``jobs``/``backend``/``retry``/``task_timeout``/``on_fault`` fan the
-    relation phase out over a supervised worker pool (see
+    ``jobs``/``retry``/``task_timeout``/``on_fault`` fan the relation
+    phase out over a supervised worker pool (see
     :mod:`repro.parallel`); under ``on_fault="quarantine"`` traces whose
     evaluation was poisoned land in the rejected list alongside the
     semantically rejected ones.
@@ -143,7 +142,6 @@ def build_trace_context(
         reference_fa,
         traces,
         jobs=jobs,
-        backend=backend,
         retry=retry,
         task_timeout=task_timeout,
         on_fault=on_fault,
@@ -173,7 +171,6 @@ def extend_clustering(
     strict: bool = False,
     budget: Budget | None = None,
     jobs: int | None = None,
-    backend: str = "process",
     retry: "RetryPolicy | int | None" = None,
     task_timeout: float | None = None,
     on_fault: str = "raise",
@@ -228,7 +225,6 @@ def extend_clustering(
             reference_fa,
             [group[0] for group in candidates.values()],
             jobs=jobs,
-            backend=backend,
             budget=budget,
             retry=retry,
             task_timeout=task_timeout,
@@ -329,7 +325,6 @@ def cluster_traces(
     budget: Budget | None = None,
     lint: bool = False,
     jobs: int | None = None,
-    backend: str = "process",
     retry: "RetryPolicy | int | None" = None,
     task_timeout: float | None = None,
     on_fault: str = "raise",
@@ -349,10 +344,9 @@ def cluster_traces(
     build raises :class:`~repro.robustness.errors.BudgetExceeded` with a
     resumable checkpoint).
 
-    ``jobs`` fans the relation phase out over a worker pool (``1``/
-    ``None`` = serial, ``0`` = one worker per CPU) with the given
-    ``backend`` (``"process"`` by default — the work is CPU-bound);
-    results are bit-identical to serial whatever the setting.
+    ``jobs`` fans the relation phase out over a process pool (``1``/
+    ``None`` = serial, ``0`` = one worker per CPU); results are
+    bit-identical to serial whatever the setting.
     ``retry``/``task_timeout``/``on_fault`` supervise the fan-out (see
     :func:`repro.parallel.parallel_map`): under ``on_fault="quarantine"``
     a poisoned relation evaluation does not abort the clustering —
@@ -390,7 +384,6 @@ def cluster_traces(
             reference_fa,
             pool,
             jobs=jobs,
-            backend=backend,
             budget=budget,
             retry=retry,
             task_timeout=task_timeout,

@@ -30,6 +30,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+from repro.robustness.errors import InputError
+
 #: Symbol used by patterns that match any event regardless of its symbol
 #: and arity ("wildcard" in the paper's name-projection template).
 WILDCARD_SYMBOL = "*"
@@ -44,7 +46,7 @@ class Event:
 
     def __post_init__(self) -> None:
         if not self.symbol or self.symbol == WILDCARD_SYMBOL:
-            raise ValueError(f"invalid event symbol: {self.symbol!r}")
+            raise InputError(f"invalid event symbol: {self.symbol!r}")
         if not isinstance(self.args, tuple):
             object.__setattr__(self, "args", tuple(self.args))
 
@@ -136,11 +138,11 @@ class EventPattern:
 
     def __post_init__(self) -> None:
         if not self.symbol:
-            raise ValueError("empty pattern symbol")
+            raise InputError("empty pattern symbol")
         if not isinstance(self.args, tuple):
             object.__setattr__(self, "args", tuple(self.args))
         if self.symbol == WILDCARD_SYMBOL and self.args:
-            raise ValueError("the wildcard pattern '*' takes no arguments")
+            raise InputError("the wildcard pattern '*' takes no arguments")
 
     @property
     def is_wildcard(self) -> bool:
@@ -205,11 +207,11 @@ def parse_event(text: str) -> Event:
     """Parse a ground event, e.g. ``"fopen(f1)"`` or ``"tick"``."""
     match = _CALL_RE.match(text)
     if match is None:
-        raise ValueError(f"cannot parse event: {text!r}")
+        raise InputError(f"cannot parse event: {text!r}")
     args = _split_args(match.group("args"))
     for arg in args:
         if not _ARG_RE.fullmatch(arg):
-            raise ValueError(f"invalid event argument {arg!r} in {text!r}")
+            raise InputError(f"invalid event argument {arg!r} in {text!r}")
     return Event(match.group("sym"), tuple(args))
 
 
@@ -217,7 +219,7 @@ def _parse_arg_pattern(text: str) -> ArgPattern:
     if text == "_":
         return ANY
     if not _ARG_RE.fullmatch(text):
-        raise ValueError(f"invalid argument pattern: {text!r}")
+        raise InputError(f"invalid argument pattern: {text!r}")
     if text[0].isupper():
         return Var(text)
     return Lit(text)
@@ -234,6 +236,6 @@ def parse_pattern(text: str) -> EventPattern:
         return EventPattern(WILDCARD_SYMBOL)
     match = _CALL_RE.match(text)
     if match is None:
-        raise ValueError(f"cannot parse pattern: {text!r}")
+        raise InputError(f"cannot parse pattern: {text!r}")
     args = tuple(_parse_arg_pattern(a) for a in _split_args(match.group("args")))
     return EventPattern(match.group("sym"), args)

@@ -4,20 +4,19 @@ The relation R of Section 3.2 (every trace run through the reference FA)
 dominates wall time in clustering and verification and is embarrassingly
 parallel.  This package provides the two pieces the hot paths share:
 
-* :func:`parallel_map` — a generic chunked worker-pool map (thread and
-  process backends, deterministic result ordering, budget-aware
+* :func:`parallel_map` — a generic chunked map (serial, or a process
+  pool when ``jobs > 1``; deterministic result ordering, budget-aware
   cancellation with resumable :class:`MapCheckpoint`) run under a
   supervisor: per-item retries with exponential backoff (``retry=``),
   per-task wall timeouts (``task_timeout=``), poison-item quarantine
   (``on_fault="quarantine"`` →
-  :class:`~repro.robustness.supervise.PartialMapResult`), and graceful
-  backend degradation down the ``process`` → ``thread`` → ``serial``
-  ladder when a pool breaks;
+  :class:`~repro.robustness.supervise.PartialMapResult`), and a
+  ``process`` → ``serial`` downgrade when a pool breaks;
 * :func:`relation_map` / :class:`RelationCache` — the relation evaluated
   over a whole corpus, with a per-FA LRU cache in front of the pool.
 
 ``cluster_traces``, ``extend_clustering``, ``build_trace_context``, and
-``verify.check_all`` all accept ``jobs``/``backend``/``retry``/
+``verify.check_all`` all accept ``jobs``/``retry``/``task_timeout``/
 ``on_fault`` and route through here; the ``cable`` CLI and ``run_spec``
 surface them as ``--jobs N`` (``0`` = one worker per CPU),
 ``--retries N``, and ``--on-fault MODE``.  A
@@ -37,16 +36,12 @@ from repro.parallel.pool import (
 )
 from repro.parallel.relation import (
     DEFAULT_CACHE_SIZE,
-    PersistentRelationCache,
     RelationCache,
     RelationMapResult,
     cached_relation,
     clear_relation_caches,
-    fa_fingerprint,
-    persistent_relation_cache,
     relation_cache,
     relation_map,
-    reset_persistent_relation_cache,
 )
 from repro.robustness.supervise import (
     PartialMapResult,
@@ -61,7 +56,6 @@ __all__ = [
     "FAULT_MODES",
     "MapCheckpoint",
     "PartialMapResult",
-    "PersistentRelationCache",
     "RelationCache",
     "RelationMapResult",
     "RetryPolicy",
@@ -69,11 +63,8 @@ __all__ = [
     "auto_chunk_size",
     "cached_relation",
     "clear_relation_caches",
-    "fa_fingerprint",
     "parallel_map",
-    "persistent_relation_cache",
     "relation_cache",
     "relation_map",
-    "reset_persistent_relation_cache",
     "resolve_jobs",
 ]

@@ -2,16 +2,15 @@
 
 :func:`parallel_map` applies a function to every item of a sequence and
 returns the results **in item order**, whatever order the workers finish
-in.  Three backends share one contract:
+in.  Two backends share one contract:
 
-* ``"serial"`` — a plain loop in the calling thread (also what any
-  backend degrades to for one job or one item), so ``jobs=1`` costs no
-  pool setup at all;
-* ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`; the
-  right choice when the mapped function releases the GIL or does I/O;
-* ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`;
-  the right choice for the CPU-bound pure-Python work that dominates
-  this codebase (the function and items must pickle).
+* ``"serial"`` — a plain loop in the calling thread (also what the
+  process backend falls back to for one job or one item), so
+  ``jobs=1`` costs no pool setup at all;
+* ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
+  for the CPU-bound pure-Python work that dominates this codebase (the
+  function and items must pickle).  It is the default, but it only
+  starts when ``jobs > 1``.
 
 Items are submitted in contiguous **chunks** (auto-sized to a few chunks
 per worker unless ``chunk_size`` is given) so per-task overhead
@@ -29,7 +28,7 @@ envelope the supervisor provides:
   watchdog loop polls ``wait(..., timeout=)`` so a hung worker cannot
   stall the wall-budget check: the timed-out task fails with
   :class:`~repro.robustness.errors.TaskTimeout` within one poll of its
-  deadline (pooled backends only — serial execution cannot be
+  deadline (process backend only — serial execution cannot be
   preempted);
 * **poison quarantine** — pass ``on_fault="quarantine"`` and the map
   completes with the survivors, returning a
@@ -38,9 +37,9 @@ envelope the supervisor provides:
   ``on_fault="raise"`` keeps fail-fast semantics);
 * **graceful degradation** — when a worker pool breaks
   (``BrokenProcessPool``, a killed worker, every worker hung), the
-  unfinished items resubmit one rung down the
-  ``process`` → ``thread`` → ``serial`` ladder and the downgrade is
-  recorded as an obs event and counter.
+  unfinished items resubmit on the serial backend (the ``process`` →
+  ``serial`` ladder) and the downgrade is recorded as an obs event and
+  counter.
 
 A wall-clock :class:`~repro.robustness.budget.Budget` is re-checked on
 every watchdog poll: when it trips, pending work is cancelled and
@@ -69,7 +68,6 @@ from concurrent.futures import (
     BrokenExecutor,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass
@@ -99,7 +97,7 @@ from repro.robustness.supervise import (
 )
 
 #: The recognized ``backend=`` values.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: The recognized ``on_fault=`` values.
 FAULT_MODES = ("raise", "quarantine")
@@ -128,6 +126,11 @@ def resolve_jobs(jobs: int | None) -> int:
     if jobs == 0:
         return os.cpu_count() or 1
     return jobs
+
+
+def effective_backend(backend: str, njobs: int, num_items: int) -> str:
+    """The backend a map actually runs on: one job or one item is serial."""
+    return backend if njobs > 1 and num_items > 1 else "serial"
 
 
 def auto_chunk_size(num_items: int, jobs: int) -> int:
@@ -373,9 +376,8 @@ class _Supervisor:
     def _ensure_local_init(self) -> None:
         """Run the worker initializer once in this process.
 
-        The serial rung (and the thread rung's workers, which share this
-        process) must see the same per-worker state a process worker
-        would, so downgrades along the ladder keep the mapped function's
+        The serial rung must see the same per-worker state a process
+        worker would, so a downgrade keeps the mapped function's
         preconditions intact.
         """
         if self.initializer is not None and not self._initialized_local:
@@ -418,20 +420,12 @@ class _Supervisor:
     def _run_pool(
         self, backend: str, queue: deque[tuple[int, int]]
     ) -> str | None:
-        """One backend's pooled run; ``None`` when fully drained, else the
-        reason the backend must be abandoned (unfinished work stays on
-        ``queue``/``retry_heap`` for the next rung down the ladder)."""
+        """One process-pool run; ``None`` when fully drained, else the
+        reason the pool must be abandoned (unfinished work stays on
+        ``queue``/``retry_heap`` for the serial rung)."""
         size = self.chunk_size or auto_chunk_size(len(queue), self.njobs)
         num_chunks = -(-len(queue) // size)
         max_workers = min(self.njobs, max(1, num_chunks))
-        executor_cls = (
-            ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
-        )
-        pool = executor_cls(
-            max_workers=max_workers,
-            initializer=self.initializer,
-            initargs=self.initargs,
-        )
         inflight: dict[Future, tuple[list[tuple[int, int]], float | None]] = {}
         abandoned = 0
         broken: str | None = None
@@ -456,6 +450,11 @@ class _Supervisor:
                     queue.extend(tasks)
             inflight.clear()
 
+        pool = ProcessPoolExecutor(
+            max_workers=max_workers,
+            initializer=self.initializer,
+            initargs=self.initargs,
+        )
         try:
             while queue or self.retry_heap or inflight:
                 self._promote_retries(queue)
@@ -520,8 +519,7 @@ class _Supervisor:
                         # so anything raised here (an unpicklable
                         # function, a corrupted result channel) would
                         # fail identically for every chunk — requeue and
-                        # walk down the ladder, where thread/serial need
-                        # no pickling at all.
+                        # fall back to serial, which needs no pickling.
                         queue.extend(tasks)
                         broken = (
                             f"chunk transport failed: {type(exc).__name__}: "
@@ -611,7 +609,7 @@ def parallel_map(
     See the module docstring for backends, chunking, budget, and
     supervision semantics.  ``retry`` is an int (number of retries) or a
     :class:`~repro.robustness.supervise.RetryPolicy`; ``task_timeout``
-    bounds one task's wall time on pooled backends; ``on_fault`` is
+    bounds one task's wall time on the process backend; ``on_fault`` is
     ``"raise"`` (default — the first unrecoverable failure propagates as
     a :class:`~repro.robustness.errors.TaskError`) or ``"quarantine"``
     (the map completes with the survivors and returns a
@@ -623,9 +621,8 @@ def parallel_map(
     (the :class:`~concurrent.futures.Executor` contract), and once in
     the calling process for the serial rung, so shared per-worker state
     — e.g. a reference FA and its trace corpus, materialized once
-    instead of pickled into every chunk — survives downgrades along the
-    ``process`` → ``thread`` → ``serial`` ladder.  Both must pickle for
-    the process backend.
+    instead of pickled into every chunk — survives a ``process`` →
+    ``serial`` downgrade.  Both must pickle for the process backend.
     """
     if backend not in BACKENDS:
         raise InputError(
@@ -646,7 +643,7 @@ def parallel_map(
     done = _validate_checkpoint(checkpoint, total)
     todo = [i for i in range(total) if i not in done]
     meter = budget.meter(clock=clock) if budget is not None else None
-    effective = backend if njobs > 1 and len(todo) > 1 else "serial"
+    effective = effective_backend(backend, njobs, len(todo))
     # An active chaos profile (in-process or REPRO_CHAOS) wraps the
     # mapped function with the deterministic fault injector, on every
     # backend, so the supervision path is exercisable end to end.

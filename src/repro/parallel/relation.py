@@ -4,33 +4,27 @@ Running every trace through the reference FA dominates wall time in
 clustering and verification, yet the per-trace work is independent and
 the same traces recur across re-clusterings, session resumes, and Focus
 sub-sessions.  This module wraps :meth:`repro.fa.automaton.FA.relation`
-with three tiers of remedy:
+with two pieces:
 
 * a per-FA **LRU cache** keyed by :meth:`repro.lang.traces.Trace.key`
   (the event sequence — ``trace_id`` is ignored, matching dedup), held
   in a :class:`weakref.WeakKeyDictionary` so caches die with their FA;
-* a **disk-backed persistent tier** (:class:`PersistentRelationCache`)
-  keyed by the FA's structural fingerprint plus
-  :attr:`~repro.fa.automaton.FA.version` and the trace's event text, so
-  relation rows survive across processes and runs; documents are
-  written atomically via :func:`repro.robustness.atomicio
-  .atomic_write_text`;
 * :func:`relation_map` — evaluate a whole corpus: cache hits are
   resolved inline, in-batch duplicates collapse to one evaluation, and
-  only the distinct misses fan out over a
-  :func:`~repro.parallel.pool.parallel_map` worker pool.
+  only the distinct misses go to
+  :func:`~repro.parallel.pool.parallel_map` (serial, or a process pool
+  when ``jobs > 1``).
 
 The fan-out ships **trace indices, not traces**: a worker ``initializer``
 materializes the FA and the pending trace list once per worker (for the
-process backend, once per child process; for thread/serial, once in
-process), so the per-chunk pickle payload is a few small ints instead of
-a copy of the automaton per chunk.
+process backend, once per child process; for serial, once in process),
+so the per-chunk pickle payload is a few small ints instead of a copy
+of the automaton per chunk.
 
 On a wall-budget trip mid-fan-out, every chunk that *did* finish is
-written into the cache (and the persistent tier, when one is active)
-before :class:`BudgetExceeded` propagates, so the checkpoint it carries
-is trivially resumable: call again and only the genuinely missing traces
-are re-run.
+written into the cache before :class:`BudgetExceeded` propagates, so
+the checkpoint it carries is trivially resumable: call again and only
+the genuinely missing traces are re-run.
 
 Supervision (see :mod:`repro.parallel.pool`): ``retry=`` re-attempts
 transient per-trace failures, ``task_timeout=`` bounds one task's wall
@@ -40,18 +34,15 @@ poisoned trace positions with their exception chains — the clustering
 layer routes those into the
 :class:`~repro.robustness.quarantine.RejectedReport` machinery.
 
-Observability: span ``relation.map`` (attrs ``traces``/``hits``/
-``misses``/``jobs``/``faults``), counters ``relation.cache.hits`` and
-``relation.cache.misses``, disk-tier counters ``relation.disk.hits``/
-``relation.disk.misses``/``relation.disk.persisted``, plus the
+Observability: span ``relation.map`` (attrs ``traces``/``jobs``/
+``backend``/``hits``/``misses``/``faults``), counters
+``relation.cache.hits`` and ``relation.cache.misses``, plus the
 ``parallel.*`` span/counters of the underlying pool.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import os
 import threading
 import weakref
@@ -59,14 +50,17 @@ from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from weakref import WeakKeyDictionary
 
 from repro import obs
 from repro.fa.automaton import FA, RelationResult
 from repro.lang.traces import Trace
-from repro.parallel.pool import MapCheckpoint, parallel_map, resolve_jobs
-from repro.robustness.atomicio import atomic_write_text
+from repro.parallel.pool import (
+    MapCheckpoint,
+    effective_backend,
+    parallel_map,
+    resolve_jobs,
+)
 from repro.robustness.budget import Budget
 from repro.robustness.errors import BudgetExceeded, InputError, TaskError
 from repro.robustness.supervise import (
@@ -79,18 +73,12 @@ from repro.robustness.supervise import (
 #: small frozenset — so this is a few hundred KB at worst).
 DEFAULT_CACHE_SIZE = 4096
 
-#: Environment variable overriding the persistent cache directory.
-CACHE_DIR_ENV = "REPRO_RELATION_CACHE_DIR"
-
-#: On-disk document schema version (bump on incompatible layout change).
-PERSIST_FORMAT = 1
-
 
 class RelationCache:
     """An LRU cache of :class:`RelationResult` rows for one FA.
 
-    Keys are ``trace.key()`` (event tuples).  Thread-safe, so a Cable
-    session and a thread-backend fan-out can share one instance.
+    Keys are ``trace.key()`` (event tuples).  Thread-safe, so the
+    concurrent sessions of ``cable serve`` can share one instance.
 
     When constructed with ``fa=...`` the cache watches that automaton's
     :attr:`~repro.fa.automaton.FA.version` counter (held via a weak
@@ -167,191 +155,6 @@ class RelationCache:
         }
 
 
-def fa_fingerprint(fa: FA) -> str:
-    """A structural fingerprint of an FA's language-defining attributes.
-
-    Two automata with the same states, initial/accepting sets, and
-    transition list (in order — transition *index* is concept identity)
-    share a fingerprint regardless of process or object identity; the
-    FA's :attr:`~repro.fa.automaton.FA.version` counter is folded in so
-    an in-place mutation keys a fresh persistent document rather than
-    resurrecting rows for a language the FA no longer accepts.
-    """
-    digest = hashlib.sha256()
-    digest.update(b"repro.fa/1\n")
-    for state in fa.states:
-        digest.update(f"s:{state!r}\n".encode())
-    for state in sorted(repr(s) for s in fa.initial):
-        digest.update(f"i:{state}\n".encode())
-    for state in sorted(repr(s) for s in fa.accepting):
-        digest.update(f"a:{state}\n".encode())
-    for t in fa.transitions:
-        digest.update(f"t:{t}\n".encode())
-    digest.update(f"v:{fa.version}\n".encode())
-    return digest.hexdigest()
-
-
-def _trace_digest(trace: Trace) -> str:
-    """The persistent row key for one trace (its event text, hashed)."""
-    text = "; ".join(str(event) for event in trace.key())
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-class PersistentRelationCache:
-    """A disk-backed tier of relation rows shared across runs.
-
-    One JSON document per FA fingerprint (structure + ``version``), each
-    mapping hashed trace-event text to ``[accepted, executed...]`` rows.
-    Documents load lazily on first access and are rewritten atomically
-    (:func:`~repro.robustness.atomicio.atomic_write_text`) on
-    :meth:`flush`, so a crash mid-write never corrupts earlier rows.
-
-    The root directory defaults to ``~/.cache/repro/relation`` and can
-    be redirected with the ``REPRO_RELATION_CACHE_DIR`` environment
-    variable (benchmarks and tests point it at a tmpdir).  Delete the
-    directory — or call :meth:`clear` — to drop every persisted row.
-
-    Thread-safe; obs counters ``relation.disk.hits`` /
-    ``relation.disk.misses`` / ``relation.disk.persisted`` track tier
-    traffic.
-    """
-
-    def __init__(self, root: str | Path | None = None) -> None:
-        if root is None:
-            root = os.environ.get(CACHE_DIR_ENV) or (
-                Path.home() / ".cache" / "repro" / "relation"
-            )
-        self.root = Path(root)
-        self._lock = threading.Lock()
-        # fingerprint -> {row_digest: RelationResult}
-        self._docs: dict[str, dict[str, RelationResult]] = {}
-        self._dirty: set[str] = set()
-        self.hits = 0
-        self.misses = 0
-        self.persisted = 0
-
-    # ------------------------------------------------------------------ #
-    # document I/O
-    # ------------------------------------------------------------------ #
-
-    def _doc_path(self, fingerprint: str) -> Path:
-        return self.root / f"{fingerprint}.json"
-
-    def _load(self, fingerprint: str) -> dict[str, RelationResult]:
-        """The in-memory rows for one fingerprint (reads disk once)."""
-        doc = self._docs.get(fingerprint)
-        if doc is not None:
-            return doc
-        rows: dict[str, RelationResult] = {}
-        path = self._doc_path(fingerprint)
-        try:
-            raw = json.loads(path.read_text())
-        except (OSError, ValueError):
-            raw = None
-        if isinstance(raw, dict) and raw.get("format") == PERSIST_FORMAT:
-            for digest, row in raw.get("rows", {}).items():
-                try:
-                    accepted, executed = bool(row[0]), row[1]
-                    rows[digest] = RelationResult(
-                        accepted=accepted,
-                        executed=frozenset(int(i) for i in executed),
-                    )
-                except (TypeError, ValueError, IndexError):
-                    continue  # skip a malformed row, keep the rest
-        self._docs[fingerprint] = rows
-        return rows
-
-    def get(self, fa: FA, trace: Trace) -> RelationResult | None:
-        """The persisted row for ``(fa, trace)``, if any."""
-        fingerprint = fa_fingerprint(fa)
-        with self._lock:
-            result = self._load(fingerprint).get(_trace_digest(trace))
-            if result is None:
-                self.misses += 1
-                obs.inc("relation.disk.misses")
-            else:
-                self.hits += 1
-                obs.inc("relation.disk.hits")
-            return result
-
-    def put(self, fa: FA, trace: Trace, result: RelationResult) -> None:
-        """Stage one row for persistence (written on :meth:`flush`)."""
-        fingerprint = fa_fingerprint(fa)
-        with self._lock:
-            rows = self._load(fingerprint)
-            digest = _trace_digest(trace)
-            if rows.get(digest) != result:
-                rows[digest] = result
-                self._dirty.add(fingerprint)
-
-    def flush(self) -> int:
-        """Write every dirty document atomically; returns rows written."""
-        with self._lock:
-            written = 0
-            for fingerprint in sorted(self._dirty):
-                rows = self._docs.get(fingerprint, {})
-                doc = {
-                    "format": PERSIST_FORMAT,
-                    "fa": fingerprint,
-                    "rows": {
-                        digest: [row.accepted, sorted(row.executed)]
-                        for digest, row in rows.items()
-                    },
-                }
-                self.root.mkdir(parents=True, exist_ok=True)
-                atomic_write_text(
-                    self._doc_path(fingerprint),
-                    json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                )
-                written += len(rows)
-            self.persisted += written
-            if written:
-                obs.inc("relation.disk.persisted", written)
-            self._dirty.clear()
-            return written
-
-    def clear(self) -> None:
-        """Drop every persisted document (disk and memory)."""
-        with self._lock:
-            self._docs.clear()
-            self._dirty.clear()
-            if self.root.is_dir():
-                for path in self.root.glob("*.json"):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-            obs.event("relation.disk.cleared", root=str(self.root))
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "documents": len(self._docs),
-            "hits": self.hits,
-            "misses": self.misses,
-            "persisted": self.persisted,
-        }
-
-
-_persistent: PersistentRelationCache | None = None
-_persistent_lock = threading.Lock()
-
-
-def persistent_relation_cache() -> PersistentRelationCache:
-    """The process-wide shared persistent tier (created on first use)."""
-    global _persistent
-    with _persistent_lock:
-        if _persistent is None:
-            _persistent = PersistentRelationCache()
-        return _persistent
-
-
-def reset_persistent_relation_cache() -> None:
-    """Forget the shared persistent tier (tests repoint the env var)."""
-    global _persistent
-    with _persistent_lock:
-        _persistent = None
-
-
 @dataclass(frozen=True)
 class RelationMapResult:
     """A relation fan-out that completed with survivors.
@@ -421,7 +224,7 @@ def cached_relation(fa: FA, trace: Trace) -> RelationResult:
 
 #: Per-process registry of materialized (FA, pending traces) pairs, keyed
 #: by a fan-out token.  Process-backend workers populate their own copy
-#: via the pool ``initializer``; thread/serial backends populate (and the
+#: via the pool ``initializer``; the serial backend populates (and the
 #: owning :func:`relation_map` call cleans up) the parent's entry.  The
 #: token key keeps concurrent fan-outs — e.g. two sessions of the
 #: multi-tenant debugging service sharing one process — from clobbering
@@ -455,7 +258,6 @@ def relation_map(
     chunk_size: int | None = None,
     budget: Budget | None = None,
     cache: RelationCache | bool | None = True,
-    persistent: "PersistentRelationCache | bool | None" = None,
     clock: Callable[[], float] | None = None,
     retry: RetryPolicy | int | None = None,
     task_timeout: float | None = None,
@@ -465,12 +267,8 @@ def relation_map(
 
     ``cache=True`` (default) uses the shared per-FA cache; pass a
     :class:`RelationCache` to use your own, or ``False``/``None`` to
-    bypass caching entirely.  ``persistent=True`` additionally consults
-    the shared :class:`PersistentRelationCache` disk tier (or pass your
-    own instance); rows found there skip evaluation, and freshly
-    computed rows are flushed back before returning.  ``jobs``/
-    ``backend``/``chunk_size``/``budget``/``clock``/``retry``/
-    ``task_timeout``/``on_fault`` are the
+    bypass caching entirely.  ``jobs``/``backend``/``chunk_size``/
+    ``budget``/``clock``/``retry``/``task_timeout``/``on_fault`` are the
     :func:`~repro.parallel.pool.parallel_map` knobs; only distinct
     cache-missing traces are fanned out, and they are shipped to the
     pool as *indices* — each worker materializes the FA and the pending
@@ -486,35 +284,18 @@ def relation_map(
         store = None
     else:
         store = cache
-    if persistent is True:
-        disk: PersistentRelationCache | None = persistent_relation_cache()
-    elif persistent is False or persistent is None:
-        disk = None
-    else:
-        disk = persistent
 
     results: list[RelationResult | None] = [None] * len(traces)
-    with obs.span(
-        "relation.map",
-        traces=len(traces),
-        jobs=resolve_jobs(jobs),
-        backend=backend,
-    ) as span:
+    njobs = resolve_jobs(jobs)
+    with obs.span("relation.map", traces=len(traces), jobs=njobs) as span:
         # Resolve hits and collapse in-batch duplicates; ``pending`` maps
         # each distinct missing key to every position that needs it.  A
         # key hash walks every event, so keys are hashed once here and
         # never recomputed (a plain dict iterates without re-hashing).
         pending: dict[tuple, list[int]] = {}
-        disk_hits = 0
         for i, trace in enumerate(traces):
             key = trace.key()
             cached = store.get(key) if store is not None else None
-            if cached is None and disk is not None and key not in pending:
-                cached = disk.get(fa, trace)
-                if cached is not None:
-                    disk_hits += 1
-                    if store is not None:
-                        store.put(key, cached)
             if cached is not None:
                 results[i] = cached
             else:
@@ -522,13 +303,11 @@ def relation_map(
         hits = len(traces) - sum(map(len, pending.values()))
         keys = list(pending)
         todo = [traces[positions[0]] for positions in pending.values()]
+        span.set(backend=effective_backend(backend, njobs, len(todo)))
 
         def bank(index: int, result: RelationResult) -> None:
-            """Record one computed row in every active tier."""
             if store is not None:
                 store.put(keys[index], result)
-            if disk is not None:
-                disk.put(fa, todo[index], result)
 
         token = _next_token()
         try:
@@ -552,11 +331,9 @@ def relation_map(
             if isinstance(exc.checkpoint, MapCheckpoint):
                 for j, result in exc.checkpoint.completed.items():
                     bank(j, result)
-                if disk is not None:
-                    disk.flush()
             raise
         finally:
-            # Thread/serial rungs initialize in-process; drop the entry.
+            # The serial rung initializes in-process; drop the entry.
             # (Process-worker copies die with their worker processes.)
             _WORKER_CONTEXTS.pop(token, None)
         if isinstance(computed, PartialMapResult):
@@ -576,9 +353,6 @@ def relation_map(
                 for i in positions:
                     results[i] = result
             failures.sort(key=lambda pair: pair[0])
-            if disk is not None:
-                disk.flush()
-                span.set(disk_hits=disk_hits)
             span.set(
                 hits=hits, misses=len(todo), faults=len(failures)
             )
@@ -595,9 +369,6 @@ def relation_map(
             bank(j, result)
             for i in positions:
                 results[i] = result
-        if disk is not None:
-            disk.flush()
-            span.set(disk_hits=disk_hits)
         span.set(hits=hits, misses=len(todo))
         obs.inc("relation.cache.hits", hits)
         obs.inc("relation.cache.misses", len(todo))

@@ -25,8 +25,8 @@ Activation::
 wraps its mapped function automatically, so an environment profile
 exercises every execution path of the real CLI without code changes.
 Worker kills (``kill_rate``) only ever fire in a *child* process — the
-wrapper compares PIDs — so the thread and serial rungs of the
-degradation ladder re-run the same items safely.  ``corrupt_rate``
+wrapper compares PIDs — so the serial rung of the degradation ladder
+re-runs the same items safely.  ``corrupt_rate``
 flips a bit in files written by
 :mod:`repro.robustness.atomicio` (via its post-write hook), exercising
 the checksum/backup recovery path.
@@ -277,8 +277,8 @@ class ChaosWrapped:
             and attempt == 0
             and os.getpid() != self.parent_pid
         ):
-            # Only a *worker process* dies — never the caller, never a
-            # thread rung (same PID as the parent).
+            # Only a *worker process* dies — never the caller or the
+            # serial rung (same PID as the parent).
             os._exit(KILL_EXIT_CODE)
         if profile.decides("slow", key, profile.slow_rate):
             time.sleep(profile.slow_seconds)

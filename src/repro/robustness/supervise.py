@@ -20,7 +20,7 @@ contract; the execution engine in :mod:`repro.parallel.pool` applies it:
   index and repr excerpt to a failure and carries the formatted remote
   traceback across the pickle boundary;
 * :func:`next_backend` — the graceful-degradation ladder
-  (``process`` → ``thread`` → ``serial``) walked when a pool breaks.
+  (``process`` → ``serial``) walked when a pool breaks.
 
 Nothing here imports the pool, so the vocabulary is reusable by any
 future executor (the session server, a streaming ingester) without
@@ -47,7 +47,7 @@ from repro.robustness.errors import (
 #: The graceful-degradation ladder, most- to least-parallel.  When a
 #: backend's pool breaks (worker death, ``BrokenProcessPool``, repeated
 #: timeouts), unfinished work resubmits one rung down.
-DEGRADATION_LADDER = ("process", "thread", "serial")
+DEGRADATION_LADDER = ("process", "serial")
 
 #: The attempt number of the task currently executing in this worker
 #: (0 on the first try).  Set by the pool's task envelope around every
@@ -225,7 +225,7 @@ def as_task_error(exc: BaseException, index: int, item: Any) -> TaskError:
 
     Called *in the worker*, so ``traceback.format_exc`` still sees the
     failure's frames.  The live exception rides along as ``__cause__``
-    for same-process backends; across a process boundary the pickle
+    on the serial backend; across a process boundary the pickle
     layer drops it and the parent resurrects the chain from
     ``remote_traceback`` (see :func:`attach_remote_cause`).
     """

@@ -131,7 +131,6 @@ class TemporalChecker:
         self,
         traces: Iterable[Trace],
         jobs: int | None = None,
-        backend: str = "process",
         *,
         retry=None,
         task_timeout: float | None = None,
@@ -168,7 +167,6 @@ class TemporalChecker:
                     self.check,
                     trace_list,
                     jobs=njobs,
-                    backend=backend if njobs > 1 else "serial",
                     retry=retry,
                     task_timeout=task_timeout,
                     on_fault=on_fault,
@@ -189,7 +187,6 @@ def check_traces(
     traces: Iterable[Trace],
     creation_args: Mapping[str, int],
     jobs: int | None = None,
-    backend: str = "process",
     *,
     retry=None,
     task_timeout: float | None = None,
@@ -199,7 +196,6 @@ def check_traces(
     return TemporalChecker(spec, creation_args).check_all(
         traces,
         jobs=jobs,
-        backend=backend,
         retry=retry,
         task_timeout=task_timeout,
         on_fault=on_fault,

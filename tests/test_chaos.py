@@ -145,7 +145,7 @@ class TestEquivalence:
     @given(
         seed=st.integers(0, 10_000),
         rate=st.floats(0.05, 0.6),
-        backend=st.sampled_from(["serial", "thread"]),
+        backend=st.sampled_from(["serial", "process"]),
     )
     def test_transient_faults_plus_retries_equal_fault_free_serial(
         self, seed, rate, backend
@@ -185,7 +185,7 @@ class TestEquivalence:
     def test_same_seed_reproduces_the_same_quarantine_set(self, seed):
         profile = ChaosProfile(seed=seed, failure_rate=0.4, fail_attempts=99)
         runs = []
-        for backend, jobs in (("serial", None), ("thread", 3), ("serial", None)):
+        for backend, jobs in (("serial", None), ("process", 3), ("serial", None)):
             chaos.configure(profile)
             try:
                 r = parallel_map(
@@ -279,7 +279,6 @@ class TestChaosAcceptance:
                 traces,
                 spec_fa,
                 jobs=2,
-                backend="process",
                 retry=INSTANT,
                 on_fault="quarantine",
             )

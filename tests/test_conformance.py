@@ -186,7 +186,7 @@ class TestCC002:
         assert fingerprints(base, codes=["CC002"]) == {"CC002@code:fan"}
         pinned = dict(base)
         pinned["pkg.user"] = pinned["pkg.user"].replace(
-            ", items)", ", items, backend='thread')"
+            ", items)", ", items, backend='serial')"
         )
         assert not findings(pinned, codes=["CC002"])
 
@@ -647,7 +647,6 @@ class TestSeededMutations:
         forwarded = (
             "            [group[0] for group in candidates.values()],\n"
             "            jobs=jobs,\n"
-            "            backend=backend,\n"
             "            budget=budget,\n"
         )
         assert forwarded in original, "anchor for the seeded mutation moved"
@@ -656,8 +655,7 @@ class TestSeededMutations:
             original.replace(
                 forwarded,
                 "            [group[0] for group in candidates.values()],\n"
-                "            jobs=jobs,\n"
-                "            backend=backend,\n",
+                "            jobs=jobs,\n",
             ),
         )
         fps = _module_findings(

@@ -1,6 +1,7 @@
 """Events, event patterns, matching, and parsing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lang.events import (
     ANY,
@@ -15,6 +16,8 @@ from repro.lang.events import (
     parse_event,
     parse_pattern,
 )
+from repro.lang.traces import parse_trace
+from repro.robustness.errors import InputError
 
 
 class TestEvent:
@@ -31,11 +34,11 @@ class TestEvent:
         assert Event("f", ["a", "b"]).args == ("a", "b")
 
     def test_empty_symbol_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             Event("")
 
     def test_wildcard_symbol_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             Event(WILDCARD_SYMBOL)
 
     def test_rename(self):
@@ -106,7 +109,7 @@ class TestPatternMatch:
         assert wildcard.match(Event("tick")) == EMPTY_BINDING
 
     def test_wildcard_with_args_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             EventPattern(WILDCARD_SYMBOL, (Var("X"),))
 
     def test_variables(self):
@@ -131,9 +134,9 @@ class TestParsing:
         assert parse_event("bind(a, b)") == Event("bind", ("a", "b"))
 
     def test_parse_event_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             parse_event("fopen(")
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             parse_event("123bad")
 
     def test_parse_pattern_variable(self):
@@ -157,3 +160,40 @@ class TestParsing:
     def test_event_str_roundtrip(self):
         for text in ("fopen(f1)", "bind(a, b)", "tick"):
             assert str(parse_event(text)) == text
+
+
+#: Arbitrary text, plus text over the parsers' own alphabet so that the
+#: success paths and the near-miss rejections are both reached.
+PARSER_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="fopenXY_01(),;* \t.'-", max_size=40),
+)
+
+
+class TestParserBoundary:
+    """Each text parser either succeeds or raises ``InputError``."""
+
+    @given(PARSER_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_event(self, text):
+        try:
+            assert isinstance(parse_event(text), Event)
+        except InputError:
+            pass
+
+    @given(PARSER_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_pattern(self, text):
+        try:
+            assert isinstance(parse_pattern(text), EventPattern)
+        except InputError:
+            pass
+
+    @given(PARSER_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_trace(self, text):
+        try:
+            trace = parse_trace(text)
+        except InputError:
+            return
+        assert all(isinstance(e, Event) for e in trace.events)

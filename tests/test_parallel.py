@@ -81,7 +81,7 @@ class TestAutoChunkSize:
 
 
 class TestParallelMap:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_ordering_matches_serial(self, backend):
         items = list(range(23))
         expected = [_square(x) for x in items]
@@ -91,10 +91,11 @@ class TestParallelMap:
         assert parallel_map(_square, [], jobs=4) == []
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(InputError):
-            parallel_map(_square, [1], backend="fiber")
+        for backend in ("fiber", "thread"):
+            with pytest.raises(InputError):
+                parallel_map(_square, [1], backend=backend)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_explicit_chunk_size(self, backend):
         items = list(range(17))
         got = parallel_map(_square, items, jobs=2, backend=backend, chunk_size=3)
@@ -102,7 +103,7 @@ class TestParallelMap:
 
     def test_worker_exception_propagates(self):
         with pytest.raises(RuntimeError, match="boom"):
-            parallel_map(_fail_on_three, [1, 2, 3, 4], jobs=2, backend="thread")
+            parallel_map(_fail_on_three, [1, 2, 3, 4], jobs=2, backend="process")
 
     def test_serial_budget_cancellation_carries_checkpoint(self):
         # The fake clock advances one second per reading, so the wall
@@ -138,7 +139,7 @@ class TestParallelMap:
         )
         assert resumed == [x * x for x in range(10)]
 
-    def test_threaded_budget_cancellation(self):
+    def test_pooled_budget_cancellation(self):
         # chunk_size=1 with a ticking clock: the very first budget check
         # (between chunk completions) trips while most of the 50 slow
         # chunks are still queued, cancelling them mid-fan-out.
@@ -148,7 +149,7 @@ class TestParallelMap:
                 _slow_square,
                 list(range(50)),
                 jobs=2,
-                backend="thread",
+                backend="process",
                 chunk_size=1,
                 budget=Budget(wall_seconds=0.5),
                 clock=lambda: float(next(ticks)),
@@ -287,8 +288,7 @@ class TestRelationMap:
 
 
 class TestVerifierFanOut:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_check_all_parallel_equals_serial(self, backend):
+    def test_check_all_parallel_equals_serial(self):
         from repro.verify.checker import TemporalChecker
         from repro.workloads.stdio import buggy_spec
 
@@ -300,7 +300,7 @@ class TestVerifierFanOut:
         ]
         checker = TemporalChecker(buggy_spec(), {"fopen": 0, "popen": 0})
         serial = checker.check_all(traces)
-        parallel = checker.check_all(traces, jobs=2, backend=backend)
+        parallel = checker.check_all(traces, jobs=2)
         assert [str(v) for v in parallel] == [str(v) for v in serial]
 
 
@@ -323,24 +323,16 @@ class TestClusteringEquivalenceProperty:
         }
 
     @given(traces())
-    @settings(max_examples=15, deadline=None)
-    def test_thread_backend_identical(self, ts):
-        reference = unordered_fa([f"{s}(X)" for s in SYMBOLS[:3]])
-        serial = cluster_traces(ts, reference)
-        threaded = cluster_traces(ts, reference, jobs=2, backend="thread")
-        assert self._canonical(serial) == self._canonical(threaded)
-
-    @given(traces())
     @settings(max_examples=6, deadline=None)
     def test_process_backend_identical(self, ts):
         reference = unordered_fa([f"{s}(X)" for s in SYMBOLS[:3]])
         serial = cluster_traces(ts, reference)
-        processed = cluster_traces(ts, reference, jobs=2, backend="process")
+        processed = cluster_traces(ts, reference, jobs=2)
         assert self._canonical(serial) == self._canonical(processed)
 
     def test_smoke_jobs2_both_backends_with_rejections(self):
         """The CI parallel-smoke entry point: jobs=2, rejected traces in
-        the corpus, both backends, full structural equality."""
+        the corpus, serial against process, full structural equality."""
         reference = unordered_fa(["open(X)", "close(X)"])
         ts = [
             parse_trace("open(x); close(x)"),
@@ -349,9 +341,8 @@ class TestClusteringEquivalenceProperty:
             parse_trace("open(x); close(x)"),  # duplicate class
         ]
         serial = cluster_traces(ts, reference)
-        for backend in ("thread", "process"):
-            par = cluster_traces(ts, reference, jobs=2, backend=backend)
-            assert self._canonical(serial) == self._canonical(par)
+        par = cluster_traces(ts, reference, jobs=2)
+        assert self._canonical(serial) == self._canonical(par)
 
 
 class TestObsIntegration:
@@ -366,6 +357,11 @@ class TestObsIntegration:
             spans = [s.name for s in recorder.spans]
             assert "relation.map" in spans
             assert "parallel.map" in spans
+            # jobs=None runs serially; both spans record that backend.
+            for name in ("relation.map", "parallel.map"):
+                assert {s.attrs["backend"] for s in recorder.named(name)} == {
+                    "serial"
+                }
             counters = recorder.registry.snapshot()["counters"]
             assert counters["relation.cache.misses"] == 1
             assert counters["relation.cache.hits"] == 2

@@ -1,30 +1,20 @@
-"""The persistent relation tier and the index-shipping fan-out path.
+"""The index-shipping fan-out path of ``relation_map``.
 
-PR 9 changed how :func:`repro.parallel.relation.relation_map` feeds its
-worker pool (trace *indices* through a pool initializer instead of
-pickled ``(fa, trace)`` pairs) and added a disk-backed
-:class:`~repro.parallel.relation.PersistentRelationCache` tier.  These
-tests pin both: every backend must return bit-identical rows through
-the new path, and a cold process reading a warm cache directory must
-reproduce exactly what the computing process saw.
+:func:`repro.parallel.relation.relation_map` feeds its worker pool
+trace *indices* through a pool initializer instead of pickled
+``(fa, trace)`` pairs.  These tests pin that path: serial and process
+runs return rows bit-identical to evaluating each trace directly, and
+the per-fan-out worker registry is left clean behind a serial run.
 """
 
 from __future__ import annotations
 
-import json
-
 from hypothesis import given, settings, strategies as st
 
-from repro import obs
 from repro.fa.templates import unordered_fa
 from repro.lang.events import Event
 from repro.lang.traces import Trace, parse_trace
-from repro.parallel.relation import (
-    PersistentRelationCache,
-    RelationCache,
-    fa_fingerprint,
-    relation_map,
-)
+from repro.parallel.relation import relation_map
 
 SYMBOLS = ["open", "close", "read", "write"]
 
@@ -44,13 +34,9 @@ def trace_strategy():
 class TestInitializerPath:
     @given(st.lists(trace_strategy(), max_size=12))
     @settings(max_examples=25, deadline=None)
-    def test_serial_equals_thread(self, traces):
+    def test_serial_matches_direct_relation(self, traces):
         fa = make_fa()
         serial = relation_map(fa, traces, cache=False, backend="serial")
-        thread = relation_map(
-            fa, traces, cache=False, backend="thread", jobs=2
-        )
-        assert serial == thread
         assert serial == [fa.relation(t) for t in traces]
 
     def test_process_backend_equals_serial(self):
@@ -73,168 +59,6 @@ class TestInitializerPath:
         fa = make_fa()
         before = dict(rel._WORKER_CONTEXTS)
         relation_map(
-            fa, [parse_trace("open(x)")], cache=False, backend="thread"
+            fa, [parse_trace("open(x)")], cache=False, backend="serial"
         )
         assert rel._WORKER_CONTEXTS == before
-
-
-class TestPersistentCache:
-    def test_cold_then_warm_equivalence(self, tmp_path):
-        fa = make_fa()
-        traces = [
-            parse_trace("open(x); close(x)"),
-            parse_trace("read(x); read(x)"),
-        ]
-        disk = PersistentRelationCache(root=tmp_path)
-        cold = relation_map(
-            fa, traces, cache=RelationCache(), persistent=disk,
-            backend="serial",
-        )
-        assert disk.stats()["misses"] == len(traces)
-        assert disk.stats()["persisted"] == len(traces)
-
-        # A "new process": fresh instance over the same directory, cold
-        # memory cache — every row must come from disk, bit-identical.
-        rehydrated = PersistentRelationCache(root=tmp_path)
-        warm = relation_map(
-            fa, traces, cache=RelationCache(), persistent=rehydrated,
-            backend="serial",
-        )
-        assert warm == cold
-        assert rehydrated.stats()["hits"] == len(traces)
-        assert rehydrated.stats()["persisted"] == 0
-
-    def test_document_is_valid_json_with_format_tag(self, tmp_path):
-        fa = make_fa()
-        disk = PersistentRelationCache(root=tmp_path)
-        relation_map(
-            fa, [parse_trace("open(x)")], cache=False, persistent=disk,
-            backend="serial",
-        )
-        docs = list(tmp_path.glob("*.json"))
-        assert len(docs) == 1
-        assert docs[0].stem == fa_fingerprint(fa)
-        doc = json.loads(docs[0].read_text())
-        assert doc["format"] == 1
-        assert len(doc["rows"]) == 1
-
-    def test_fa_mutation_keys_fresh_document(self, tmp_path):
-        fa = make_fa()
-        trace = parse_trace("open(x)")
-        disk = PersistentRelationCache(root=tmp_path)
-        before = relation_map(
-            fa, [trace], cache=False, persistent=disk, backend="serial"
-        )
-        fp_before = fa_fingerprint(fa)
-        fa.accepting = frozenset()  # bumps fa.version
-        assert fa_fingerprint(fa) != fp_before
-        after = relation_map(
-            fa, [trace], cache=False, persistent=disk, backend="serial"
-        )
-        assert before[0].accepted and not after[0].accepted
-        assert len(list(tmp_path.glob("*.json"))) == 2
-
-    def test_identical_rebuilt_fa_shares_document(self, tmp_path):
-        disk = PersistentRelationCache(root=tmp_path)
-        trace = parse_trace("open(x); close(x)")
-        relation_map(
-            make_fa(), [trace], cache=False, persistent=disk,
-            backend="serial",
-        )
-        rehydrated = PersistentRelationCache(root=tmp_path)
-        relation_map(
-            make_fa(), [trace], cache=False, persistent=rehydrated,
-            backend="serial",
-        )
-        assert rehydrated.stats()["hits"] == 1
-
-    def test_corrupt_document_is_ignored_not_fatal(self, tmp_path):
-        fa = make_fa()
-        trace = parse_trace("open(x)")
-        path = tmp_path / f"{fa_fingerprint(fa)}.json"
-        path.write_text("{ not json")
-        disk = PersistentRelationCache(root=tmp_path)
-        rows = relation_map(
-            fa, [trace], cache=False, persistent=disk, backend="serial"
-        )
-        assert rows == [fa.relation(trace)]
-        assert json.loads(path.read_text())["format"] == 1  # rewritten
-
-    def test_clear_removes_documents(self, tmp_path):
-        fa = make_fa()
-        disk = PersistentRelationCache(root=tmp_path)
-        relation_map(
-            fa, [parse_trace("open(x)")], cache=False, persistent=disk,
-            backend="serial",
-        )
-        assert list(tmp_path.glob("*.json"))
-        disk.clear()
-        assert not list(tmp_path.glob("*.json"))
-        assert disk.stats()["documents"] == 0
-
-    def test_obs_counters(self, tmp_path):
-        recorder = obs.configure(record=True)
-        try:
-            fa = make_fa()
-            traces = [parse_trace("open(x)"), parse_trace("read(x)")]
-            disk = PersistentRelationCache(root=tmp_path)
-            relation_map(
-                fa, traces, cache=False, persistent=disk, backend="serial"
-            )
-            relation_map(
-                fa, traces, cache=False,
-                persistent=PersistentRelationCache(root=tmp_path),
-                backend="serial",
-            )
-            counters = recorder.registry.snapshot()["counters"]
-            assert counters["relation.disk.misses"] == 2
-            assert counters["relation.disk.hits"] == 2
-            assert counters["relation.disk.persisted"] == 2
-        finally:
-            obs.shutdown()
-
-    def test_env_var_points_default_instance(self, tmp_path, monkeypatch):
-        from repro.parallel.relation import (
-            persistent_relation_cache,
-            reset_persistent_relation_cache,
-        )
-
-        monkeypatch.setenv("REPRO_RELATION_CACHE_DIR", str(tmp_path))
-        reset_persistent_relation_cache()
-        try:
-            fa = make_fa()
-            relation_map(
-                fa, [parse_trace("open(x)")], cache=False, persistent=True,
-                backend="serial",
-            )
-            assert persistent_relation_cache().root == tmp_path
-            assert list(tmp_path.glob("*.json"))
-        finally:
-            reset_persistent_relation_cache()
-
-    def test_duplicate_traces_hit_disk_once_each_position(self, tmp_path):
-        fa = make_fa()
-        trace = parse_trace("open(x)")
-        disk = PersistentRelationCache(root=tmp_path)
-        relation_map(
-            fa, [trace], cache=False, persistent=disk, backend="serial"
-        )
-        rehydrated = PersistentRelationCache(root=tmp_path)
-        rows = relation_map(
-            fa,
-            [trace, Trace(trace.events, trace_id="dup")],
-            cache=False,
-            persistent=rehydrated,
-            backend="serial",
-        )
-        assert rows[0] == rows[1]
-        assert rehydrated.stats()["misses"] == 0
-
-
-class TestBackwardCompatibility:
-    def test_no_persistent_tier_by_default(self, tmp_path, monkeypatch):
-        # persistent=None must never touch the filesystem.
-        monkeypatch.setenv("REPRO_RELATION_CACHE_DIR", str(tmp_path))
-        fa = make_fa()
-        relation_map(fa, [parse_trace("open(x)")], cache=False)
-        assert not list(tmp_path.iterdir())

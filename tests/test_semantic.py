@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.diagnostics import Diagnostic, Location
 from repro.analysis.semantic import (
@@ -310,6 +311,76 @@ class TestLabelFlow:
             d["code"] for d in document["report"]["diagnostics"]
         }
         assert "LBL001" in codes
+
+
+@st.composite
+def lattices_with_acts(draw):
+    """A random context's lattice plus a random act log over it."""
+    num_objects = draw(st.integers(0, 6))
+    num_attrs = draw(st.integers(1, 5))
+    rows = [
+        draw(st.frozensets(st.integers(0, num_attrs - 1)))
+        for _ in range(num_objects)
+    ]
+    lat = build_lattice_batch(
+        FormalContext(
+            [f"o{i}" for i in range(num_objects)],
+            [f"a{i}" for i in range(num_attrs)],
+            rows,
+        )
+    )
+    labels = ["good", "good-setup", "bad", "bad-interleaving", "unsure"]
+    acts = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(list(lat)), st.sampled_from(labels)
+            ),
+            max_size=6,
+        )
+    )
+    return lat, acts
+
+
+class TestLabelFlowBruteForce:
+    """``label_flow`` against brute force over the concepts' extents."""
+
+    @given(lattices_with_acts())
+    @settings(max_examples=150, deadline=None)
+    def test_closures_and_conflicts_match_extents(self, case):
+        lat, acts = case
+        result = label_flow(lat, acts)
+        good = [c for c, label in acts if label.startswith("good")]
+        bad = [c for c, label in acts if label.startswith("bad")]
+        ext = lat.extent
+
+        def below(witnesses):
+            return {
+                c for c in lat if any(ext(c) <= ext(w) for w in witnesses)
+            }
+
+        assert set(result.implied_good) == below(good)
+        assert set(result.implied_bad) == below(bad)
+        nonempty_bad = [b for b in bad if ext(b)]
+        assert set(result.tainted) == {
+            c for c in lat if any(ext(c) >= ext(b) for b in nonempty_bad)
+        }
+        # Each witness is an act of the right polarity that implies it.
+        for c, w in result.implied_good.items():
+            assert w in good and ext(c) <= ext(w)
+        for c, w in result.implied_bad.items():
+            assert w in bad and ext(c) <= ext(w)
+        for c, w in result.tainted.items():
+            assert w in nonempty_bad and ext(c) >= ext(w)
+
+        expected = {
+            (g, b, min(ext(g) & ext(b)))
+            for g in good
+            for b in bad
+            if ext(g) & ext(b)
+        }
+        got = [(c.good_concept, c.bad_concept, c.obj) for c in result.conflicts]
+        assert len(got) == len(set(got))
+        assert set(got) == expected
 
 
 class TestOracleLabels:

@@ -75,7 +75,6 @@ def main(argv: list[str] | None = None) -> int:
             traces,
             spec_fa,
             jobs=args.jobs,
-            backend="process",
             retry=3,
             on_fault="quarantine",
         )
