@@ -19,7 +19,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.core.context import FormalContext, mask_of
+from repro.core.context import FormalContext, iter_bits, mask_of, set_of
 from repro.robustness.errors import InputError, LookupInputError
 
 #: Optional construction-time invariant check (a debug assertion).  Set
@@ -65,11 +65,15 @@ class Concept:
 class ConceptLattice:
     """The concept lattice of a context, with its Hasse diagram.
 
-    ``parents[c]`` are the immediate *super*concepts of concept index ``c``
-    (larger extents); ``children[c]`` the immediate subconcepts.  The
-    constructor checks structural sanity (distinct extents, a unique
-    maximum and minimum); full order-theoretic validation is available via
-    :meth:`validate` and is exercised by the test suite.
+    Concept ``c`` is held as the int masks ``extent_masks[c]`` (bit ``o``
+    is object ``o``) and ``intent_masks[c]`` (bit ``a`` is attribute
+    ``a``), taken as they are by :meth:`from_masks`; :attr:`concepts` makes
+    frozensets from them on first use.  ``parents[c]`` are the immediate
+    *super*concepts of concept index ``c`` (larger extents);
+    ``children[c]`` the immediate subconcepts.  The constructor checks
+    structural sanity (distinct extents, a unique maximum and minimum);
+    full order-theoretic validation is available via :meth:`validate` and
+    is exercised by the test suite.
     """
 
     def __init__(
@@ -79,9 +83,38 @@ class ConceptLattice:
         parents: Sequence[Iterable[int]],
         children: Sequence[Iterable[int]],
     ) -> None:
+        extents = [mask_of(c.extent) for c in concepts]
+        intents = [mask_of(c.intent) for c in concepts]
+        self._init_masks(context, extents, intents, parents, children)
+
+    @classmethod
+    def from_masks(
+        cls,
+        context: FormalContext,
+        extent_masks: Sequence[int],
+        intent_masks: Sequence[int],
+        parents: Sequence[Iterable[int]],
+        children: Sequence[Iterable[int]],
+    ) -> "ConceptLattice":
+        """The lattice whose concept ``c`` has extent ``extent_masks[c]``
+        and intent ``intent_masks[c]``."""
+        lattice = cls.__new__(cls)
+        lattice._init_masks(context, extent_masks, intent_masks, parents, children)
+        return lattice
+
+    def _init_masks(
+        self,
+        context: FormalContext,
+        extent_masks: Sequence[int],
+        intent_masks: Sequence[int],
+        parents: Sequence[Iterable[int]],
+        children: Sequence[Iterable[int]],
+    ) -> None:
         self.context = context
-        self.concepts: tuple[Concept, ...] = tuple(concepts)
-        if len(parents) != len(self.concepts) or len(children) != len(self.concepts):
+        self.extent_masks: tuple[int, ...] = tuple(extent_masks)
+        self.intent_masks: tuple[int, ...] = tuple(intent_masks)
+        n = len(self.extent_masks)
+        if len(parents) != n or len(children) != n:
             raise ValueError("parents/children length mismatch")
         self.parents: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(p)) for p in parents
@@ -89,12 +122,11 @@ class ConceptLattice:
         self.children: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(c)) for c in children
         )
-        extents = {c.extent for c in self.concepts}
-        if len(extents) != len(self.concepts):
+        if len(set(self.extent_masks)) != n:
             raise ValueError("duplicate concept extents")
         tops = [i for i, p in enumerate(self.parents) if not p]
         bottoms = [i for i, c in enumerate(self.children) if not c]
-        if len(self.concepts) == 1:
+        if n == 1:
             self.top = self.bottom = 0
         else:
             if len(tops) != 1 or len(bottoms) != 1:
@@ -111,42 +143,41 @@ class ConceptLattice:
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self.concepts)
+        return len(self.extent_masks)
 
     def __iter__(self):
-        return iter(range(len(self.concepts)))
+        return iter(range(len(self.extent_masks)))
+
+    @cached_property
+    def concepts(self) -> tuple[Concept, ...]:
+        """Every concept as a :class:`Concept` of frozensets, made from the
+        masks on first use and cached."""
+        return tuple(
+            Concept(set_of(extent), set_of(intent))
+            for extent, intent in zip(self.extent_masks, self.intent_masks)
+        )
 
     def _check_index(self, c: int) -> int:
         if not isinstance(c, int) or isinstance(c, bool):
             raise InputError(
                 "concept index must be an integer", index=c
             )
-        if not -len(self.concepts) <= c < len(self.concepts):
+        if not -len(self) <= c < len(self):
             raise InputError(
                 "concept index out of range",
                 index=c,
-                num_concepts=len(self.concepts),
+                num_concepts=len(self),
             )
-        return c % len(self.concepts) if c < 0 else c
+        return c % len(self) if c < 0 else c
 
     def extent(self, c: int) -> frozenset[int]:
         return self.concepts[self._check_index(c)].extent
-
-    @cached_property
-    def extent_masks(self) -> tuple[int, ...]:
-        """Every concept's extent as an int mask (bit ``o`` is object
-        ``o``), indexed like :attr:`concepts`.
-
-        Computed on first use and cached, so building a lattice pays
-        nothing for it; the labeling strategies run on these masks.
-        """
-        return tuple(mask_of(concept.extent) for concept in self.concepts)
 
     def intent(self, c: int) -> frozenset[int]:
         return self.concepts[self._check_index(c)].intent
 
     def similarity(self, c: int) -> int:
-        return self.concepts[self._check_index(c)].similarity
+        return self.intent_masks[self._check_index(c)].bit_count()
 
     @cached_property
     def _object_concept(self) -> dict[int, int]:
@@ -154,12 +185,11 @@ class ConceptLattice:
         extent wins, the first on ties); built on first use, so
         constructing a lattice pays nothing for it."""
         gamma: dict[int, int] = {}
-        for i, concept in enumerate(self.concepts):
-            for o in concept.extent:
+        sizes = [extent.bit_count() for extent in self.extent_masks]
+        for i, extent in enumerate(self.extent_masks):
+            for o in iter_bits(extent):
                 best = gamma.get(o)
-                if best is None or len(concept.extent) < len(
-                    self.concepts[best].extent
-                ):
+                if best is None or sizes[i] < sizes[best]:
                     gamma[o] = i
         return gamma
 
@@ -261,7 +291,7 @@ class ConceptLattice:
                 indegree[parent] -= 1
                 if indegree[parent] == 0:
                     queue.append(parent)
-        if len(order) != len(self.concepts):
+        if len(order) != len(self):
             raise RuntimeError("Hasse diagram is cyclic")
         return order
 
@@ -370,6 +400,6 @@ class ConceptLattice:
 
     def __repr__(self) -> str:
         return (
-            f"ConceptLattice(concepts={len(self.concepts)}, "
+            f"ConceptLattice(concepts={len(self)}, "
             f"|O|={self.context.num_objects}, |A|={self.context.num_attributes})"
         )

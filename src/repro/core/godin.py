@@ -42,8 +42,10 @@ Intents and extents are held as **int bitmasks** throughout (see
 maximality scans of every insertion are single bitwise ops instead of
 frozenset algebra, and batch insertion
 (:meth:`GodinLatticeBuilder.add_objects`) feeds the per-object loop
-straight from the context's precomputed row masks.  The public API is
-unchanged — checkpoints and built lattices still speak frozensets.
+straight from the context's precomputed row masks.  A built
+:class:`~repro.core.concepts.ConceptLattice` takes the masks as they are
+(it makes frozenset concepts only when asked); checkpoints speak
+frozensets.
 
 The builder also maintains the lattice-wide invariant that a concept with
 intent = (all attributes seen so far) always exists — the canonical bottom,
@@ -70,7 +72,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from repro import obs
-from repro.core.concepts import Concept, ConceptLattice
+from repro.core.concepts import ConceptLattice
 from repro.core.context import FormalContext, mask_of, set_of
 from repro.robustness.budget import Budget, BudgetMeter
 from repro.robustness.errors import BudgetExceeded
@@ -100,9 +102,9 @@ class LatticeCheckpoint:
 class GodinLatticeBuilder:
     """Incrementally builds a concept lattice, one object at a time.
 
-    Extents and intents live as int bitmasks while the build runs;
-    :meth:`snapshot` and :meth:`build` convert back to frozensets at the
-    boundary.
+    Extents and intents live as int bitmasks while the build runs and
+    go into the built lattice as they are; :meth:`snapshot` converts
+    them to frozensets.
     """
 
     def __init__(self, budget: Budget | None = None,
@@ -133,9 +135,8 @@ class GodinLatticeBuilder:
         the reference FA).
         """
         builder = cls(budget=budget)
-        for concept in lattice.concepts:
-            builder._extents.append(mask_of(concept.extent))
-            builder._intents.append(mask_of(concept.intent))
+        builder._extents = list(lattice.extent_masks)
+        builder._intents = list(lattice.intent_masks)
         builder._parents = [set(p) for p in lattice.parents]
         builder._children = [set(c) for c in lattice.children]
         builder._bottom = lattice.bottom
@@ -386,17 +387,11 @@ class GodinLatticeBuilder:
     # ------------------------------------------------------------------ #
 
     def build(self, context: FormalContext) -> ConceptLattice:
-        """Freeze the builder into a :class:`ConceptLattice` for ``context``."""
+        """The :class:`ConceptLattice` for ``context`` of the concepts built
+        so far."""
         with obs.span("godin.freeze", concepts=len(self._intents)):
-            concepts = [
-                Concept(set_of(extent), set_of(intent))
-                for extent, intent in zip(self._extents, self._intents)
-            ]
-            return ConceptLattice(
-                context,
-                concepts,
-                [frozenset(p) for p in self._parents],
-                [frozenset(c) for c in self._children],
+            return ConceptLattice.from_masks(
+                context, self._extents, self._intents, self._parents, self._children
             )
 
 

@@ -44,7 +44,7 @@ from repro.core.concepts import ConceptLattice
 from repro.core.context import FormalContext
 from repro.core.godin import GodinLatticeBuilder, build_lattice_godin
 from repro.fa.automaton import FA
-from repro.lang.traces import DedupResult, Trace, dedup_traces
+from repro.lang.traces import DedupResult, Trace, TraceKey, dedup_traces
 from repro.parallel.relation import RelationMapResult, relation_map
 from repro.robustness.budget import Budget
 from repro.robustness.errors import ClusteringError
@@ -208,7 +208,7 @@ def extend_clustering(
         # Bucket: joins of existing classes, duplicates of already-rejected
         # keys (skipped), and candidates — one relation evaluation per
         # distinct unseen key.
-        candidates: dict[tuple, list[Trace]] = {}
+        candidates: dict[TraceKey, list[Trace]] = {}
         skipped_rejected = 0
         for trace in new_traces:
             key = trace.key()

@@ -21,7 +21,10 @@ Two queries matter for the paper:
 :meth:`FA.relation` answers both at once from a single forward/backward
 sweep — the form the clustering hot path wants, since the historical
 ``executed_transitions(t) or accepts(t)`` idiom paid a second forward
-pass for every rejected (or accepted-but-empty) trace.
+pass for every rejected (or accepted-but-empty) trace.  Only the forward
+sweep matches events: it records each configuration's incoming edges,
+and the backward pass walks those edges from the accepting
+configurations.
 
 Every sweep step asks "which transitions leaving this state can consume
 this event?".  :attr:`FA._outgoing` answers it without scanning the
@@ -42,12 +45,19 @@ from itertools import chain
 
 from repro.lang.events import Binding, EMPTY_BINDING, EventPattern, parse_pattern
 from repro.lang.traces import Trace
+from repro.robustness.errors import InputError
 
 State = Hashable
 
 #: A transition with its index, and a run of them in index order.
 Edge = tuple[int, "Transition"]
 Edges = tuple[Edge, ...]
+
+#: A configuration of a run: the state and the variable binding so far.
+Config = tuple[State, Binding]
+#: One step of a sweep: each configuration reached, with its incoming
+#: ``(source configuration, transition index)`` edges.
+Layer = dict[Config, list[tuple[Config, int]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,16 +127,16 @@ class FA:
         self.states: tuple[State, ...] = tuple(states)
         state_set = set(self.states)
         if len(state_set) != len(self.states):
-            raise ValueError("duplicate states")
+            raise InputError("duplicate states")
         self.initial: frozenset[State] = frozenset(initial)
         self.accepting: frozenset[State] = frozenset(accepting)
         for s in self.initial | self.accepting:
             if s not in state_set:
-                raise ValueError(f"initial/accepting state {s!r} not in states")
+                raise InputError(f"initial/accepting state {s!r} not in states")
         self.transitions: tuple[Transition, ...] = tuple(transitions)
         for t in self.transitions:
             if t.src not in state_set or t.dst not in state_set:
-                raise ValueError(f"transition {t} mentions unknown state")
+                raise InputError(f"transition {t} mentions unknown state")
         self._outgoing: dict[State, tuple[dict[str, Edges], Edges]] = _index_outgoing(
             self.states, self.transitions
         )
@@ -200,10 +210,6 @@ class FA:
 
     def describe_transition(self, index: int) -> str:
         """Human-readable rendering of transition ``index``."""
-        # Imported here: repro.robustness.quarantine imports this module,
-        # so a top-level import would be circular.
-        from repro.robustness.errors import InputError
-
         if not isinstance(index, int) or isinstance(index, bool):
             raise InputError(
                 "transition index must be an integer", index=index
@@ -225,31 +231,40 @@ class FA:
     # simulation
     # ------------------------------------------------------------------ #
 
-    def _forward_layers(self, trace: Trace) -> list[set[tuple[State, Binding]]]:
-        """Reachable configurations before each event (and after the last).
+    def _forward_layers(self, trace: Trace) -> list[Layer]:
+        """Reachable configurations before each event (and after the last),
+        each with the edges that reach it.
 
-        ``layers[i]`` is the set of ``(state, binding)`` pairs reachable by
-        consuming the first ``i`` events; ``len(layers) == len(trace)+1``.
+        ``layers[i]`` maps every ``(state, binding)`` configuration
+        reachable by consuming the first ``i`` events to its incoming
+        ``(configuration in layers[i-1], transition index)`` edges
+        (none for ``layers[0]``); ``len(layers) == len(trace)+1``.  This
+        is the one place a trace is matched against the FA: acceptance,
+        relation R and the accepting paths all read these layers.
         """
-        current: set[tuple[State, Binding]] = {(s, EMPTY_BINDING) for s in self.initial}
+        current: Layer = {(s, EMPTY_BINDING): [] for s in self.initial}
         layers = [current]
         outgoing = self._outgoing
         for event in trace:
             symbol = event.symbol
-            nxt: set[tuple[State, Binding]] = set()
-            for state, binding in current:
-                by_symbol, wildcards = outgoing[state]
-                for _, t in by_symbol.get(symbol, wildcards):
-                    new_binding = t.pattern.match(event, binding)
+            nxt: Layer = {}
+            for cfg in current:
+                by_symbol, wildcards = outgoing[cfg[0]]
+                for index, t in by_symbol.get(symbol, wildcards):
+                    new_binding = t.pattern.match(event, cfg[1])
                     if new_binding is not None:
-                        nxt.add((t.dst, new_binding))
+                        dst = (t.dst, new_binding)
+                        edges = nxt.get(dst)
+                        if edges is None:
+                            nxt[dst] = [(cfg, index)]
+                        else:
+                            edges.append((cfg, index))
             layers.append(nxt)
             current = nxt
             if not current:
                 # Still append the remaining (empty) layers so callers can
                 # rely on the length invariant.
-                for _ in range(len(trace) - len(layers) + 1):
-                    layers.append(set())
+                layers.extend({} for _ in range(len(trace) + 1 - len(layers)))
                 break
         return layers
 
@@ -259,46 +274,31 @@ class FA:
         return any(state in self.accepting for state, _ in final)
 
     def relation(self, trace: Trace) -> RelationResult:
-        """Acceptance plus the relation-R row, in one forward/backward sweep.
+        """Acceptance plus the relation-R row, in one matching sweep.
 
-        This realizes the relation R of Section 3.2: forward-reachable
-        configurations are intersected with backward-reachable ones, and
-        every surviving edge contributes its FA transition.  Acceptance
-        falls out of the same forward pass, so callers never need the
-        historical ``executed_transitions(t) or accepts(t)`` double
-        evaluation.
+        This realizes the relation R of Section 3.2: an edge of the
+        configuration graph is on an accepting path iff its source is
+        forward-reachable and its target co-reachable.  The forward sweep
+        already holds every forward-reachable configuration with its
+        incoming edges, so the backward pass walks those edges from the
+        accepting configurations, collecting each edge's FA transition,
+        without matching an event again.  Acceptance falls out of the
+        same sweep.
         """
-        n = len(trace)
         layers = self._forward_layers(trace)
-        final = {
-            (state, binding)
-            for state, binding in layers[n]
-            if state in self.accepting
-        }
-        if not final:
+        accepting = self.accepting
+        frontier = {cfg for cfg in layers[len(trace)] if cfg[0] in accepting}
+        if not frontier:
             return RelationResult(False, frozenset())
-
-        # Edges of the configuration graph, layer by layer:
-        # (i, cfg, transition index, cfg') with cfg in layers[i].
-        # Build successor lists as we go backward, keeping only edges whose
-        # endpoints are forward-reachable.
-        co_reachable: list[set[tuple[State, Binding]]] = [set() for _ in range(n + 1)]
-        co_reachable[n] = final
         used: set[int] = set()
-        outgoing = self._outgoing
-        for i in range(n - 1, -1, -1):
-            event = trace[i]
-            symbol = event.symbol
-            target = co_reachable[i + 1]
-            if not target:
-                continue
-            for state, binding in layers[i]:
-                by_symbol, wildcards = outgoing[state]
-                for index, t in by_symbol.get(symbol, wildcards):
-                    new_binding = t.pattern.match(event, binding)
-                    if new_binding is not None and (t.dst, new_binding) in target:
-                        co_reachable[i].add((state, binding))
-                        used.add(index)
+        for i in range(len(trace), 0, -1):
+            incoming = layers[i]
+            below: set[Config] = set()
+            for cfg in frontier:
+                for src, index in incoming[cfg]:
+                    below.add(src)
+                    used.add(index)
+            frontier = below
         return RelationResult(True, frozenset(used))
 
     def executed_transitions(self, trace: Trace) -> frozenset[int]:
@@ -314,29 +314,36 @@ class FA:
     ) -> list[tuple[int, ...]]:
         """Enumerate accepting paths as tuples of transition indices.
 
+        Paths come depth first, from each initial state in turn, trying
+        the edges out of a configuration in transition-index order.
         Exponential in the worst case; intended for tests and small
         examples, hence the ``limit`` safety valve.
         """
         n = len(trace)
+        layers = self._forward_layers(trace)
+        # The recorded edges, turned around: per layer, each configuration's
+        # outgoing (transition index, configuration) edges.
+        leaving: list[dict[Config, list[tuple[int, Config]]]] = [{} for _ in range(n)]
+        for i in range(n):
+            for dst, edges in layers[i + 1].items():
+                for src, index in edges:
+                    leaving[i].setdefault(src, []).append((index, dst))
         out: list[tuple[int, ...]] = []
 
-        def walk(i: int, state: State, binding: Binding, path: list[int]) -> None:
+        def walk(i: int, cfg: Config, path: list[int]) -> None:
             if len(out) >= limit:
                 return
             if i == n:
-                if state in self.accepting:
+                if cfg[0] in self.accepting:
                     out.append(tuple(path))
                 return
-            by_symbol, wildcards = self._outgoing[state]
-            for index, t in by_symbol.get(trace[i].symbol, wildcards):
-                new_binding = t.pattern.match(trace[i], binding)
-                if new_binding is not None:
-                    path.append(index)
-                    walk(i + 1, t.dst, new_binding, path)
-                    path.pop()
+            for index, dst in sorted(leaving[i].get(cfg, ())):
+                path.append(index)
+                walk(i + 1, dst, path)
+                path.pop()
 
-        for start in self.initial:
-            walk(0, start, EMPTY_BINDING, [])
+        for start in layers[0]:
+            walk(0, start, [])
         return out
 
     # ------------------------------------------------------------------ #

@@ -32,14 +32,16 @@ from dataclasses import dataclass
 
 from repro.fa.automaton import FA, Transition
 from repro.lang.events import EventPattern, WILDCARD_SYMBOL, parse_pattern
+from repro.robustness.errors import InputError
 
 #: Spelling of the wildcard *event* inside regex text (the bare ``*`` is
 #: the Kleene star there).
 WILDCARD_TOKEN = "*any*"
 
 
-class RegexSyntaxError(ValueError):
-    """Raised for malformed regular expressions."""
+class RegexSyntaxError(InputError):
+    """Raised for malformed regular expressions (an :class:`InputError`,
+    so also a ``ValueError``)."""
 
 
 # --------------------------------------------------------------------- #

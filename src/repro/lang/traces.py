@@ -28,12 +28,48 @@ from repro.lang.events import Event, parse_event
 STANDARD_NAMES: tuple[str, ...] = ("X", "Y", "Z", "W", "V", "U")
 
 
+class TraceKey:
+    """A trace's identity key: its event tuple, hashed once.
+
+    Hashing an event tuple calls every event's ``__hash__``, a Python
+    function since :class:`Event` is a dataclass.  The key computes that
+    hash when it is made and keeps it, so a dict or set operation on it
+    costs one call whatever the trace's length.  Two keys are equal iff
+    their event tuples are.  A pickled key hashes again on load, since
+    string hashes differ between processes.
+    """
+
+    __slots__ = ("events", "_hash")
+
+    def __init__(self, events: tuple[Event, ...]) -> None:
+        self.events = events
+        self._hash = hash(events)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, TraceKey):
+            return NotImplemented
+        return self._hash == other._hash and self.events == other.events
+
+    def __reduce__(self) -> tuple[type["TraceKey"], tuple[tuple[Event, ...]]]:
+        return TraceKey, (self.events,)
+
+    def __repr__(self) -> str:
+        return f"TraceKey({self.events!r})"
+
+
 @dataclass(frozen=True, slots=True)
 class Trace:
     """An immutable sequence of ground events with an optional identifier."""
 
     events: tuple[Event, ...]
     trace_id: str = ""
+    #: The :meth:`key`, made on first use.
+    _key: TraceKey | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.events, tuple):
@@ -90,9 +126,14 @@ class Trace:
                         mapping[arg] = f"N{len(mapping)}"
         return self.rename(mapping)
 
-    def key(self) -> tuple[Event, ...]:
-        """Identity key: the event sequence (ignores ``trace_id``)."""
-        return self.events
+    def key(self) -> TraceKey:
+        """Identity key: the event sequence (ignores ``trace_id``), hashed
+        once per trace however often it is looked up."""
+        key = self._key
+        if key is None:
+            key = TraceKey(self.events)
+            object.__setattr__(self, "_key", key)
+        return key
 
     def __str__(self) -> str:
         return "; ".join(str(e) for e in self.events)
@@ -163,10 +204,10 @@ class DedupResult:
 def dedup_traces(traces: Iterable[Trace]) -> DedupResult:
     """Partition ``traces`` into classes of identical event sequences.
 
-    Classes come in order of first occurrence (the dict's order).  A key
-    hash walks every event, so each trace's key is hashed exactly once.
+    Classes come in order of first occurrence (the dict's order).  Each
+    trace's key walks its events once, when the key is made.
     """
-    groups: dict[tuple[Event, ...], list[Trace]] = {}
+    groups: dict[TraceKey, list[Trace]] = {}
     for trace in traces:
         groups.setdefault(trace.key(), []).append(trace)
     members = tuple(map(tuple, groups.values()))

@@ -7,7 +7,8 @@ sub-sessions.  This module wraps :meth:`repro.fa.automaton.FA.relation`
 with two pieces:
 
 * a per-FA **LRU cache** keyed by :meth:`repro.lang.traces.Trace.key`
-  (the event sequence — ``trace_id`` is ignored, matching dedup), held
+  (the event sequence, hashed once per trace — ``trace_id`` is ignored,
+  matching dedup), held
   in a :class:`weakref.WeakKeyDictionary` so caches die with their FA;
 * :func:`relation_map` — evaluate a whole corpus: cache hits are
   resolved inline, in-batch duplicates collapse to one evaluation, and
@@ -54,7 +55,7 @@ from weakref import WeakKeyDictionary
 
 from repro import obs
 from repro.fa.automaton import FA, RelationResult
-from repro.lang.traces import Trace
+from repro.lang.traces import Trace, TraceKey
 from repro.parallel.pool import (
     MapCheckpoint,
     effective_backend,
@@ -77,8 +78,9 @@ DEFAULT_CACHE_SIZE = 4096
 class RelationCache:
     """An LRU cache of :class:`RelationResult` rows for one FA.
 
-    Keys are ``trace.key()`` (event tuples).  Thread-safe, so the
-    concurrent sessions of ``cable serve`` can share one instance.
+    Keys are ``trace.key()`` (:class:`~repro.lang.traces.TraceKey`).
+    Thread-safe, so the concurrent sessions of ``cable serve`` can share
+    one instance.
 
     When constructed with ``fa=...`` the cache watches that automaton's
     :attr:`~repro.fa.automaton.FA.version` counter (held via a weak
@@ -94,7 +96,7 @@ class RelationCache:
         if maxsize < 1:
             raise InputError("maxsize must be positive", maxsize=maxsize)
         self.maxsize = maxsize
-        self._data: OrderedDict[tuple, RelationResult] = OrderedDict()
+        self._data: OrderedDict[TraceKey, RelationResult] = OrderedDict()
         self._lock = threading.Lock()
         self._fa_ref = weakref.ref(fa) if fa is not None else None
         self._fa_version = fa.version if fa is not None else None
@@ -121,7 +123,7 @@ class RelationCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def get(self, key: tuple) -> RelationResult | None:
+    def get(self, key: TraceKey) -> RelationResult | None:
         with self._lock:
             self._refresh_version()
             result = self._data.get(key)
@@ -132,7 +134,7 @@ class RelationCache:
                 self.hits += 1
             return result
 
-    def put(self, key: tuple, result: RelationResult) -> None:
+    def put(self, key: TraceKey, result: RelationResult) -> None:
         with self._lock:
             self._refresh_version()
             self._data[key] = result
@@ -289,10 +291,8 @@ def relation_map(
     njobs = resolve_jobs(jobs)
     with obs.span("relation.map", traces=len(traces), jobs=njobs) as span:
         # Resolve hits and collapse in-batch duplicates; ``pending`` maps
-        # each distinct missing key to every position that needs it.  A
-        # key hash walks every event, so keys are hashed once here and
-        # never recomputed (a plain dict iterates without re-hashing).
-        pending: dict[tuple, list[int]] = {}
+        # each distinct missing key to every position that needs it.
+        pending: dict[TraceKey, list[int]] = {}
         for i, trace in enumerate(traces):
             key = trace.key()
             cached = store.get(key) if store is not None else None

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fa.automaton import FA
+from repro.fa.automaton import FA, Layer
 from repro.lang.events import Event
 from repro.lang.traces import Trace
 from repro.verify.checker import Violation
 
 
-def _expected_patterns(spec: FA, configs: set) -> list[str]:
+def _expected_patterns(spec: FA, configs: Layer) -> list[str]:
     """The transition labels leaving any live configuration."""
     out = set()
     for state, _binding in configs:
@@ -80,7 +80,7 @@ class Diagnosis:
 
 
 def _accepting_completion(
-    spec: FA, configs: set
+    spec: FA, configs: Layer
 ) -> tuple[str, ...] | None:
     """Shortest witness completion from the live configurations."""
     # Imported lazily: repro.analysis.semantic imports fa.ops, and verify

@@ -3,11 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.invariants import disable_debug_checks, enable_debug_checks
 from repro.core.batch import build_lattice_batch
-from repro.core.concepts import Concept
-from repro.core.context import FormalContext
-from repro.core.godin import build_lattice_godin
+from repro.core.concepts import Concept, ConceptLattice
+from repro.core.context import FormalContext, set_of
+from repro.core.godin import GodinLatticeBuilder, build_lattice_godin
 from repro.core.nextclosure import build_lattice_nextclosure
+from repro.core.trace_clustering import cluster_traces
 from repro.robustness.errors import LookupInputError
 
 
@@ -198,3 +200,89 @@ class TestDegenerate:
         lattice = build_lattice_batch(ctx)
         assert len(lattice) == 1
         assert lattice.extent(0) == frozenset({0, 1})
+
+
+def build_from_concepts(ctx: FormalContext) -> ConceptLattice:
+    """``from_concepts`` on another build's concepts, in reverse order."""
+    return ConceptLattice.from_concepts(ctx, reversed(build_lattice_godin(ctx).concepts))
+
+
+def lattice_shape(lattice: ConceptLattice) -> tuple[set, set]:
+    """The concepts as (extent, intent) mask pairs and the cover edges as
+    (extent, parent extent) pairs: the lattice without its concept ids."""
+    extents = lattice.extent_masks
+    concepts = set(zip(extents, lattice.intent_masks))
+    covers = {(extents[c], extents[p]) for c in lattice for p in lattice.parents[c]}
+    return concepts, covers
+
+
+class TestMaskRepresentation:
+    """The lattice holds int masks; its frozenset concepts are made from
+    them on demand, and every construction agrees on both."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_lattice_godin, build_lattice_nextclosure, build_lattice_batch,
+         build_from_concepts],
+        ids=["godin", "nextclosure", "batch", "from_concepts"],
+    )
+    @given(ctx=contexts())
+    @settings(max_examples=60, deadline=None)
+    def test_concepts_match_masks(self, build, ctx):
+        lattice = build(ctx)
+        assert len(lattice.concepts) == len(lattice.intent_masks) == len(lattice)
+        for c, concept in enumerate(lattice.concepts):
+            assert concept.extent == set_of(lattice.extent_masks[c])
+            assert concept.intent == set_of(lattice.intent_masks[c])
+            assert lattice.extent(c) == concept.extent
+            assert lattice.intent(c) == concept.intent
+            assert lattice.similarity(c) == len(concept.intent)
+
+    @given(ctx=contexts(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_from_lattice_then_add_object_equals_fresh_build(self, ctx, data):
+        k = data.draw(st.integers(0, ctx.num_objects))
+        prefix = FormalContext(ctx.objects[:k], ctx.attributes, ctx.rows[:k])
+        builder = GodinLatticeBuilder.from_lattice(build_lattice_godin(prefix))
+        for obj in range(k, ctx.num_objects):
+            builder.add_object(obj, ctx.rows[obj])
+        grown = builder.build(ctx)
+        assert lattice_shape(grown) == lattice_shape(build_lattice_godin(ctx))
+        grown.validate()
+
+    def test_cluster_traces_makes_no_concepts(self, bulk_corpus, monkeypatch):
+        made = []
+        original = Concept.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Concept, "__init__", counting_init)
+        traces, fa = bulk_corpus
+        # The suite-wide invariant hook reads every concept; clustering
+        # itself must not.
+        disable_debug_checks()
+        try:
+            lattice = cluster_traces(traces, fa).lattice
+        finally:
+            enable_debug_checks()
+        assert "concepts" not in lattice.__dict__
+        assert not made
+        assert len(lattice) > 60
+        assert len(lattice.concepts) == len(lattice)
+        assert len(made) == len(lattice)
+
+    def test_constructor_errors_unchanged(self):
+        ctx = FormalContext(["o0", "o1"], ["a0", "a1"], [{0}, {1}])
+        top = Concept(frozenset({0, 1}), frozenset())
+        left = Concept(frozenset({0}), frozenset({0}))
+        right = Concept(frozenset({1}), frozenset({1}))
+        with pytest.raises(ValueError, match="duplicate concept extents"):
+            ConceptLattice(ctx, [top, top], [[], [0]], [[1], []])
+        with pytest.raises(ValueError, match="unique top/bottom"):
+            ConceptLattice(ctx, [top, left, right], [[], [0], [0]], [[1, 2], [], []])
+        with pytest.raises(ValueError, match="length mismatch"):
+            ConceptLattice(ctx, [top, left], [[]], [[], []])
+        with pytest.raises(ValueError, match="duplicate concept extents"):
+            ConceptLattice.from_masks(ctx, [3, 3], [0, 0], [[], [0]], [[1], []])

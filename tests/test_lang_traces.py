@@ -1,9 +1,12 @@
 """Traces, trace sets, standardization, and dedup."""
 
+import pickle
+
 import pytest
 
+from repro.core.trace_clustering import cluster_traces
 from repro.lang.events import Event
-from repro.lang.traces import TraceSet, dedup_traces, parse_trace
+from repro.lang.traces import TraceKey, TraceSet, dedup_traces, parse_trace
 
 
 class TestTrace:
@@ -112,3 +115,47 @@ class TestDedup:
         result = dedup_traces([])
         assert result.num_classes == 0
         assert result.total == 0
+
+
+class TestTraceKey:
+    def test_key_is_made_once_and_ignores_trace_id(self):
+        t1 = parse_trace("a(X); b(X)", trace_id="t1")
+        t2 = parse_trace("a(X); b(X)", trace_id="t2")
+        assert t1.key() is t1.key()
+        assert t1.key() == t2.key() and hash(t1.key()) == hash(t2.key())
+        assert t1.key() != parse_trace("a(X); c(X)").key()
+        assert t1.key().events == t1.events
+        assert t1.key() != t1.events
+
+    def test_pickled_key_hashes_again(self):
+        # String hashes differ between processes, so a key must not carry
+        # its hash across a pickle.
+        key = parse_trace("a(X); b(Y)").key()
+        key._hash = 12345
+        loaded = pickle.loads(pickle.dumps(key))
+        assert hash(loaded) == hash(key.events)
+        assert loaded.events == key.events
+        assert isinstance(loaded, TraceKey)
+
+    def test_pickled_trace_equals_original(self):
+        trace = parse_trace("a(X); b(Y)", trace_id="t")
+        trace.key()
+        loaded = pickle.loads(pickle.dumps(trace))
+        assert loaded == trace and loaded.key() == trace.key()
+
+    def test_clustering_hashes_each_event_at_most_once(self, bulk_corpus, monkeypatch):
+        # Dedup, the relation cache and relation_map's pending dict all
+        # look traces up by key; only making a key walks the events.
+        traces, fa = bulk_corpus
+        calls = 0
+        original = Event.__hash__
+
+        def counting_hash(self):
+            nonlocal calls
+            calls += 1
+            return original(self)
+
+        monkeypatch.setattr(Event, "__hash__", counting_hash)
+        clustering = cluster_traces(traces, fa)
+        assert clustering.num_objects == 60
+        assert 0 < calls <= sum(map(len, traces))

@@ -4,9 +4,12 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
+from repro.fa.automaton import FA
 from repro.fa.regex import compile_regex
+from repro.fa.serialization import fa_from_text
 from repro.lang.events import Event
 from repro.lang.traces import Trace
+from repro.robustness.errors import ReproError
 
 SYMBOLS = ("a", "b", "c")
 
@@ -82,3 +85,42 @@ def test_compiled_fa_matches_reference(regex):
                 text,
                 string,
             )
+
+
+#: Arbitrary text, and text built from the tokens each format is made of,
+#: so the fuzz reaches past the first syntax check.
+REGEX_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="ab(X,_1)|*+?; any", max_size=30),
+)
+FA_TEXT = st.one_of(
+    st.text(max_size=60),
+    st.lists(
+        st.sampled_from(
+            ["states:", "initial:", "accepting:", "q0", "q1", " ", "->", ":",
+             "a(X)", "b(X, 1)", "*", "#", "\n", "(", ")", ",", "_"]
+        ),
+        max_size=30,
+    ).map("".join),
+)
+
+
+class TestTextEntryPointsFuzz:
+    """The regex compiler and the FA text reader either succeed or raise a
+    :class:`ReproError`, never another exception."""
+
+    @given(REGEX_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_compile_regex(self, text):
+        try:
+            assert isinstance(compile_regex(text), FA)
+        except ReproError:
+            pass
+
+    @given(FA_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_fa_from_text(self, text):
+        try:
+            assert isinstance(fa_from_text(text), FA)
+        except ReproError:
+            pass
