@@ -11,12 +11,8 @@ enforces one architectural invariant that earlier work paid for by hand:
 ``CC002``   shared-state races and unpicklable captures in functions
             handed to the parallel map entry points
 ``CC003``   observability coverage of the declared hot-path modules
-``CC004``   ``budget=``/``strict=``/supervision parameters accepted but
-            not forwarded to a callee that takes them
 ``CC005``   error-taxonomy conformance (``raise Exception``, bare
             ``except``, swallowed ``ReproError`` subclasses)
-``CC006``   lock discipline: writes to ``_lock``-guarded state outside
-            a ``with <lock>`` block
 ``CC007``   hardened accessors: ``*_index`` dict-comprehension lookup
             tables subscripted directly, so unknown user-supplied names
             raise bare ``KeyError`` instead of ``LookupInputError``
@@ -24,11 +20,13 @@ enforces one architectural invariant that earlier work paid for by hand:
             released on every CFG path out (flow-sensitive)
 ``CC009``   exception flow: non-``ReproError`` escapes from the public
             API surface, dead except arms, cause-dropping re-raises
-``CC010``   flow-sensitive plumbing: supervision parameters forwarded
-            on one branch but dropped on another; fan-out result
-            envelopes stored and never read
-``CC011``   Eraser-style per-attribute locksets: no single lock
-            serializes every write to a guarded attribute
+``CC010``   supervision-parameter plumbing: ``budget=``/``strict=``/...
+            accepted but not forwarded to a callee that takes them, on
+            every path or on one branch; fan-out result envelopes
+            stored and never read
+``CC011``   lock discipline as Eraser-style per-attribute locksets:
+            writes to ``_lock``-guarded state that no single lock
+            serializes, or that no lock guards at all
 ==========  ==========================================================
 
 CC008–CC011 are built on :mod:`repro.analysis.dataflow` (per-function
@@ -56,9 +54,7 @@ from repro.analysis.conformance import (  # noqa: F401  (registration)
     cc001_staleness,
     cc002_race,
     cc003_obs,
-    cc004_plumbing,
     cc005_errors,
-    cc006_locks,
     cc007_accessors,
     cc008_leaks,
     cc009_exceptions,

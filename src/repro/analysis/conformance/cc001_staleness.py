@@ -29,6 +29,7 @@ from collections.abc import Iterator
 
 from repro.analysis.conformance.engine import ConformancePass, register_pass
 from repro.analysis.conformance.model import (
+    MUTATING_METHODS,
     ModuleInfo,
     ProjectModel,
     enclosing_functions,
@@ -39,23 +40,6 @@ from repro.analysis.diagnostics import Diagnostic
 #: The attributes FA.__setattr__ counts, plus the counter itself.
 SEMANTIC_ATTRS = frozenset(
     {"states", "initial", "accepting", "transitions", "_outgoing", "version"}
-)
-
-#: Container methods that mutate in place.
-MUTATING_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "remove",
-        "clear",
-        "pop",
-        "popitem",
-        "update",
-        "setdefault",
-        "add",
-        "discard",
-    }
 )
 
 #: The module allowed to touch these attributes directly.

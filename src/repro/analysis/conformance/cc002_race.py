@@ -27,6 +27,7 @@ from collections.abc import Iterator
 from repro.analysis.conformance.engine import ConformancePass, register_pass
 from repro.analysis.conformance.model import (
     FunctionNode,
+    MUTATING_METHODS,
     ModuleInfo,
     ProjectModel,
     enclosing_functions,
@@ -39,24 +40,6 @@ ENTRY_POINT_SUFFIXES = (
     ".parallel_map",
     ".relation_map",
     ".supervised_map",
-)
-
-MUTATING_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "remove",
-        "clear",
-        "pop",
-        "popitem",
-        "update",
-        "setdefault",
-        "add",
-        "discard",
-        "appendleft",
-        "extendleft",
-    }
 )
 
 

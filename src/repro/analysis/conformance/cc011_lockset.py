@@ -1,31 +1,40 @@
-"""CC011 — Eraser-style per-attribute lockset race detection.
+"""CC011 — lock discipline as Eraser-style per-attribute locksets.
 
-CC006 asks the syntactic question "is this write lexically inside a
-``with self._lock`` block?".  This pass asks the Eraser question: for
-each guarded attribute, is there *one* lock that every write site
-holds?  The lockset at a write is computed flow-sensitively over the
-function CFG (forward/*must* held-facts), so it understands
-``lock.acquire()``/``release()`` pairs, writes after a ``with`` block
-has already ended, and early exits — and it catches the two-lock class
-whose attribute is written under ``_a_lock`` in one method and
-``_b_lock`` in another, which is lexically "locked everywhere" and
-still a race.
+A class that constructs a ``self._lock`` (or any ``*_lock``) in
+``__init__`` (RelationCache, MetricsRegistry, ...) has declared its
+instance state shared; every write to that state must then hold a lock,
+or the lock is decoration.  A pool-shutdown deadlock and a relation
+cache bug in this repository both started as "one write path that
+didn't take the lock everybody else takes".
+
+For each guarded attribute the pass asks the Eraser question: is there
+*one* lock that every write site holds?  The lockset at a write is
+computed flow-sensitively over the function CFG (forward/*must*
+held-facts), so it understands ``lock.acquire()``/``release()`` pairs,
+writes after a ``with`` block has already ended, and early exits — and
+it catches the two-lock class whose attribute is written under
+``_a_lock`` in one method and ``_b_lock`` in another, which is
+lexically "locked everywhere" and still a race.
 
 The repo's *lock-held helper* convention carries over
 interprocedurally: a private method's entry lockset is the
 intersection of the locksets held at its intra-class call sites, so a
-helper only ever called under the lock analyzes as holding it.
+helper only ever called under the lock (like
+``RelationCache._refresh_version``) analyzes as holding it.
 
 Findings:
 
 * a write site whose lockset misses the candidate lockset every other
   write of that attribute agrees on (the classic unguarded write, with
   a path witness from the method entry to the write);
+* each write of an attribute that is *never* written under any lock;
 * an attribute whose write sites hold locks but whose common lockset
   is *empty* (disjoint locks — no single lock serializes the writes).
 
-``__init__``/``__post_init__``/``__new__`` and reads stay exempt for
-the same reasons as CC006.
+``__init__``/``__post_init__``/``__new__`` are exempt (no other thread
+can hold an object mid-construction), as are reads — the GIL makes the
+repo's counter reads safe enough, and flagging them would bury the
+writes that matter.
 """
 
 from __future__ import annotations
@@ -34,14 +43,9 @@ import ast
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from repro.analysis.conformance.cc006_locks import (
-    CONSTRUCTORS,
-    MUTATING_METHODS,
-    _is_self_attr,
-    _lock_attrs,
-)
 from repro.analysis.conformance.engine import ConformancePass, register_pass
 from repro.analysis.conformance.model import (
+    MUTATING_METHODS,
     FunctionNode,
     ModuleInfo,
     ProjectModel,
@@ -49,39 +53,53 @@ from repro.analysis.conformance.model import (
 from repro.analysis.dataflow.cfg import CFG, Marker, Stmt, build_cfg
 from repro.analysis.dataflow.analyses import HeldFacts, held_facts
 from repro.analysis.dataflow.paths import witness_path
-from repro.analysis.diagnostics import Diagnostic, Location
+from repro.analysis.diagnostics import Diagnostic
+
+CONSTRUCTORS = frozenset({"__init__", "__post_init__", "__new__"})
 
 
-def _lock_gen(stmt: Stmt, locks: set[str]) -> list[str]:
-    """Locks this entry acquires (``with self.X`` / ``self.X.acquire()``)."""
-    out: list[str] = []
-    if isinstance(stmt, Marker):
-        if stmt.kind == "with-enter":
-            node = stmt.node
-            assert isinstance(node, (ast.With, ast.AsyncWith))
-            for item in node.items:
-                attr = _is_self_attr(item.context_expr, locks)
-                if attr is not None:
-                    out.append(attr)
-        return out
-    if isinstance(stmt, ast.stmt):
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "acquire"
-            ):
-                attr = _is_self_attr(node.func.value, locks)
-                if attr is not None:
-                    out.append(attr)
+def _lock_attrs(cls: ast.ClassDef) -> set[str]:
+    """Names of ``self.<attr> = ...Lock()``-style fields set in __init__."""
+    out: set[str] = set()
+    for method in cls.body:
+        if (
+            isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and method.name in CONSTRUCTORS
+        ):
+            for node in ast.walk(method):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if (
+                            isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"
+                            and target.attr.endswith("_lock")
+                        ):
+                            out.add(target.attr)
     return out
 
 
-def _lock_kill(stmt: Stmt, locks: set[str]) -> list[str]:
-    """Locks this entry releases (``with`` exit / ``.release()``)."""
+def _is_self_attr(node: ast.expr, attrs: set[str] | None = None) -> str | None:
+    """``attr`` when node is ``self.<attr>`` (optionally restricted)."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        if attrs is None or node.attr in attrs:
+            return node.attr
+    return None
+
+
+def _lock_events(
+    stmt: Stmt, locks: set[str], marker: str, method: str
+) -> list[str]:
+    """Locks this entry takes or drops: ``with self.X`` at a ``marker``
+    (``with-enter``/``with-exit``) or a ``self.X.<method>()`` call
+    (``acquire``/``release``)."""
     out: list[str] = []
     if isinstance(stmt, Marker):
-        if stmt.kind == "with-exit":
+        if stmt.kind == marker:
             node = stmt.node
             assert isinstance(node, (ast.With, ast.AsyncWith))
             for item in node.items:
@@ -89,16 +107,15 @@ def _lock_kill(stmt: Stmt, locks: set[str]) -> list[str]:
                 if attr is not None:
                     out.append(attr)
         return out
-    if isinstance(stmt, ast.stmt):
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "release"
-            ):
-                attr = _is_self_attr(node.func.value, locks)
-                if attr is not None:
-                    out.append(attr)
+    for node in ast.walk(stmt):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == method
+        ):
+            attr = _is_self_attr(node.func.value, locks)
+            if attr is not None:
+                out.append(attr)
     return out
 
 
@@ -183,8 +200,12 @@ class _ClassAnalysis:
             self.held = {
                 name: held_facts(
                     self.cfgs[name],
-                    lambda s: _lock_gen(s, self.locks),
-                    lambda s: _lock_kill(s, self.locks),
+                    lambda s: _lock_events(
+                        s, self.locks, "with-enter", "acquire"
+                    ),
+                    lambda s: _lock_events(
+                        s, self.locks, "with-exit", "release"
+                    ),
                     entry=self.entry[name],
                 )
                 for name in self.methods
@@ -244,8 +265,8 @@ class LocksetPass(ConformancePass):
     code = "CC011"
     severity = "error"
     summary = (
-        "per-attribute lockset races: no single lock protects every "
-        "write to a guarded attribute"
+        "writes to _lock-guarded instance state that no single lock "
+        "protects: unlocked, or under disjoint locks"
     )
 
     def check_module(
@@ -268,36 +289,58 @@ class LocksetPass(ConformancePass):
         for attr in sorted(by_attr):
             sites = by_attr[attr]
             locked = [s for s in sites if s.lockset]
-            if not locked:
-                continue  # never written under any lock: CC006 territory
-            candidate = frozenset.intersection(*[s.lockset for s in locked])
-            if not candidate:
-                involved = sorted(
-                    {lock for s in locked for lock in s.lockset}
+            candidate = (
+                frozenset.intersection(*[s.lockset for s in locked])
+                if locked
+                else frozenset()
+            )
+            if locked and not candidate:
+                involved = ", ".join(
+                    f"self.{lock}"
+                    for lock in sorted({k for s in locked for k in s.lockset})
                 )
-                yield Diagnostic(
-                    code=self.code,
-                    severity=self.severity,
-                    location=Location.code(f"{cls.name}.{attr}"),
-                    message=(
-                        f"writes to self.{attr} are guarded by disjoint "
-                        f"locks ({', '.join(f'self.{k}' for k in involved)})"
-                        " — no single lock serializes them"
-                    ),
+                yield self.finding(
+                    module,
+                    f"{cls.name}.{attr}",
+                    locked[0].node,
+                    f"writes to self.{attr} are guarded by disjoint locks "
+                    f"({involved}) — no single lock serializes them",
                     suggestion=(
                         "pick one lock for this attribute and take it at "
                         "every write site"
                     ),
-                    witness=module.witness(locked[0].node),
                 )
                 continue
-            lock_name = sorted(candidate)[0]
+            # With no locked write at all, every write is flagged against
+            # the class's own lock.
+            lock_name = sorted(candidate or locks)[0]
             for site in sites:
                 if site.lockset & candidate:
                     continue
-                cfg = analysis.cfgs[site.method]
+                if locked:
+                    message = (
+                        f"{site.kind} to self.{attr} without holding "
+                        f"self.{lock_name}, the lock every other write of "
+                        "this attribute holds — a racing path exists"
+                    )
+                    suggestion = (
+                        f"take `with self.{lock_name}:` around this write "
+                        "(flow-sensitive: the lock must be held *at* the "
+                        "write, not merely somewhere in the method)"
+                    )
+                else:
+                    message = (
+                        f"{site.kind} to self.{attr} outside `with "
+                        f"self.{lock_name}` — {cls.name} declared its "
+                        "state lock-guarded"
+                    )
+                    suggestion = (
+                        f"move the write under `with self.{lock_name}:` "
+                        "(or document the method as lock-held by calling "
+                        "it only from locked regions)"
+                    )
                 witness = witness_path(
-                    cfg,
+                    analysis.cfgs[site.method],
                     0,
                     site.block,
                     module.relpath,
@@ -305,21 +348,12 @@ class LocksetPass(ConformancePass):
                         getattr(site.node, "lineno", 0) or 0
                     ),
                 )
-                yield Diagnostic(
-                    code=self.code,
-                    severity=self.severity,
-                    location=Location.code(f"{cls.name}.{site.method}"),
-                    message=(
-                        f"{site.kind} to self.{attr} without holding "
-                        f"self.{lock_name}, the lock every other write of "
-                        "this attribute holds — a racing path exists"
-                    ),
-                    suggestion=(
-                        f"take `with self.{lock_name}:` around this write "
-                        "(flow-sensitive: the lock must be held *at* the "
-                        "write, not merely somewhere in the method)"
-                    ),
-                    witness=witness,
+                yield self.finding(
+                    module,
+                    f"{cls.name}.{site.method}",
+                    witness,
+                    message,
+                    suggestion=suggestion,
                 )
 
 

@@ -5,7 +5,7 @@ the repo's own source tree.
 
     cable selfcheck                              # text report on src/repro
     cable selfcheck --format json                # machine-readable
-    cable selfcheck --codes CC001,CC006          # a subset of passes
+    cable selfcheck --codes CC001,CC011          # a subset of passes
     cable selfcheck --changed                    # modules touched vs HEAD
     cable selfcheck --changed origin/main        # ... vs a merge base
     cable selfcheck --baseline tools/baselines/conformance.json

@@ -76,6 +76,7 @@ class ConformancePass:
             severity=severity or self.severity,
             location=Location.code(qualname or "<module>"),
             message=message,
+            suggestion=suggestion,
             witness=witness,
         )
 

@@ -8,7 +8,7 @@ about *qualified* names instead of whatever local alias a module picked:
 (re-exports are chased through ``__init__`` modules).
 
 The model also indexes every function/method definition by qualified
-name with its parameter list, which is what the plumbing pass (CC004)
+name with its parameter list, which is what the plumbing pass (CC010)
 and the observability pass (CC003) join against.
 
 Everything here is plain :mod:`ast` — no imports are executed, so the
@@ -27,6 +27,30 @@ from repro.robustness.errors import InputError
 #: Function-ish AST nodes (the model treats both alike).
 FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
 
+#: Container methods that mutate their receiver in place — what the
+#: staleness (CC001), race (CC002) and lockset (CC011) passes count as
+#: a write to the object they are called on.
+MUTATING_METHODS = frozenset(
+    {
+        "append",
+        "extend",
+        "insert",
+        "remove",
+        "clear",
+        "pop",
+        "popitem",
+        "update",
+        "setdefault",
+        "add",
+        "discard",
+        "move_to_end",
+        "appendleft",
+        "extendleft",
+        "sort",
+        "reverse",
+    }
+)
+
 
 @dataclass(frozen=True)
 class FunctionInfo:
@@ -44,7 +68,7 @@ class FunctionInfo:
         return self.node.name
 
 
-def _function_params(node: FunctionNode) -> tuple[tuple[str, ...], bool]:
+def function_params(node: FunctionNode) -> tuple[tuple[str, ...], bool]:
     args = node.args
     names = [a.arg for a in args.posonlyargs]
     names += [a.arg for a in args.args]
@@ -260,7 +284,7 @@ class ProjectModel:
     def _index_function(
         self, info: ModuleInfo, node: FunctionNode, prefix: str, method: bool
     ) -> None:
-        params, has_kwargs = _function_params(node)
+        params, has_kwargs = function_params(node)
         qual = f"{prefix}.{node.name}"
         self.functions[qual] = FunctionInfo(
             qualname=qual,
@@ -379,8 +403,10 @@ def walk_scope(node: ast.AST) -> Iterator[ast.AST]:
 __all__ = [
     "FunctionInfo",
     "FunctionNode",
+    "MUTATING_METHODS",
     "ModuleInfo",
     "ProjectModel",
     "enclosing_functions",
+    "function_params",
     "walk_scope",
 ]

@@ -79,9 +79,26 @@ def session_to_dict(session: CableSession) -> dict:
     return data
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_label(value: object) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+def _is_str_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _validate(data: dict, path: str | None = None) -> None:
     """Structural validation; raises :class:`SessionCorrupt` with the
-    precise inconsistency."""
+    precise inconsistency.
+
+    Every field :func:`session_from_dict` reads is type-checked here, so
+    a malformed document fails as :class:`SessionCorrupt` rather than as
+    whatever builtin exception the rebuild would trip over.
+    """
     if not isinstance(data, dict) or data.get("format") != FORMAT:
         raise SessionCorrupt(
             "not a cable session document",
@@ -92,6 +109,8 @@ def _validate(data: dict, path: str | None = None) -> None:
         )
     stored = data.get("checksum")
     if stored is not None:
+        if not isinstance(stored, str):
+            raise SessionCorrupt("session checksum is not a string", path=path)
         actual = checksum_text(_payload_text(data))
         if stored != actual:
             raise SessionCorrupt(
@@ -99,16 +118,25 @@ def _validate(data: dict, path: str | None = None) -> None:
                 path=path,
                 reason=f"stored {stored[:12]}…, computed {actual[:12]}…",
             )
+    if not isinstance(data.get("reference_fa"), str):
+        raise SessionCorrupt("session has no reference FA text", path=path)
     classes = data.get("classes")
     if not isinstance(classes, list):
         raise SessionCorrupt("session has no classes list", path=path)
     seen_ids: dict[str, int] = {}
     for i, entry in enumerate(classes):
-        members = entry.get("members")
-        ids = entry.get("ids")
-        if not isinstance(members, list) or not isinstance(ids, list):
+        members = entry.get("members") if isinstance(entry, dict) else None
+        ids = entry.get("ids") if isinstance(entry, dict) else None
+        if not _is_str_list(members) or not _is_str_list(ids):
             raise SessionCorrupt(
-                "class entry lacks members/ids lists",
+                "class entry lacks members/ids lists of strings",
+                path=path,
+                class_index=i,
+            )
+        label = entry.get("label")
+        if label is not None and not _is_label(label):
+            raise SessionCorrupt(
+                "class label must be null or a non-empty string",
                 path=path,
                 class_index=i,
             )
@@ -132,14 +160,35 @@ def _validate(data: dict, path: str | None = None) -> None:
                 )
             if trace_id:
                 seen_ids[trace_id] = i
+    label_log = data.get("label_log", [])
+    if not isinstance(label_log, list) or not all(
+        isinstance(act, list)
+        and len(act) == 2
+        and _is_int(act[0])
+        and _is_label(act[1])
+        for act in label_log
+    ):
+        raise SessionCorrupt(
+            "label_log must be a list of [concept, label] pairs", path=path
+        )
+    operations = data.get("operations")
+    if not isinstance(operations, dict) or not all(
+        _is_int(operations.get(key)) and operations[key] >= 0
+        for key in ("inspections", "labelings")
+    ):
+        raise SessionCorrupt(
+            "session operations must count inspections and labelings",
+            path=path,
+        )
 
 
 def session_from_dict(data: dict, path: str | None = None) -> CableSession:
     """Rebuild a session from :func:`session_to_dict` output.
 
-    The document is validated first — length-mismatched or duplicated
-    trace ids raise :class:`SessionCorrupt` instead of being silently
-    zipped away.
+    The document is validated first — malformed fields, length-mismatched
+    or duplicated trace ids and ``label_log`` concepts outside the rebuilt
+    lattice raise :class:`SessionCorrupt` instead of being silently
+    zipped away or failing later.
     """
     _validate(data, path=path)
     reference = fa_from_text(data["reference_fa"])
@@ -149,7 +198,7 @@ def session_from_dict(data: dict, path: str | None = None) -> CableSession:
         for text, trace_id in zip(entry["members"], entry["ids"]):
             trace = parse_trace(text, trace_id=trace_id)
             traces.append(trace)
-            if entry["label"] is not None:
+            if entry.get("label") is not None:
                 labels_by_key[trace.key()] = entry["label"]
     session = CableSession(cluster_traces(traces, reference))
     for o, rep in enumerate(session.clustering.representatives):
@@ -159,10 +208,16 @@ def session_from_dict(data: dict, path: str | None = None) -> CableSession:
     session.ops.inspections = data["operations"]["inspections"]
     session.ops.labelings = data["operations"]["labelings"]
     # Older documents predate the act log; they restore with an empty one.
-    session.label_log = [
-        (int(concept), str(label))
-        for concept, label in data.get("label_log", [])
-    ]
+    num_concepts = len(session.lattice)
+    for concept, label in data.get("label_log", []):
+        if not -num_concepts <= concept < num_concepts:
+            raise SessionCorrupt(
+                "label_log names a concept outside the lattice",
+                path=path,
+                concept=concept,
+                num_concepts=num_concepts,
+            )
+        session.label_log.append((concept % num_concepts, label))
     return session
 
 
@@ -184,7 +239,7 @@ def save_session(
 def _try_load(path: Path) -> CableSession:
     try:
         raw = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SessionCorrupt(
             "cannot read session file", path=str(path), reason=str(exc)
         ) from exc
@@ -216,10 +271,9 @@ def load_session_with_recovery(
     for candidate in candidates:
         try:
             session = _try_load(candidate)
-        except (ReproError, ValueError, KeyError, TypeError) as exc:
-            message = exc.message if isinstance(exc, ReproError) else str(exc)
-            failures.append(f"{candidate}: {message}")
-            warnings.append(f"cannot load {candidate}: {message}")
+        except ReproError as exc:
+            failures.append(f"{candidate}: {exc.message}")
+            warnings.append(f"cannot load {candidate}: {exc.message}")
             continue
         if candidate != path:
             warnings.append(

@@ -80,6 +80,9 @@ class CableSession:
         #: trace; the log preserves the acts themselves, which is what the
         #: label-flow analysis (:mod:`repro.analysis.semantic.labelflow`)
         #: replays to detect contradictions the store silently resolves.
+        #: Concepts are logged non-negative: a negative index counts from
+        #: an end that :meth:`add_traces` moves, so the entry points
+        #: resolve it with ``check_index`` first.
         self.label_log: list[tuple[int, str]] = []
         self.ops = OperationCount()
         #: Worker count for the relation fan-out of incremental updates
@@ -140,6 +143,7 @@ class CableSession:
 
     def inspect(self, concept: int) -> ConceptSummary:
         """View a concept; counts as one operation."""
+        concept = self.lattice.check_index(concept)
         self.ops.inspections += 1
         obs.inc("cable.inspections")
         extent = self.lattice.extent(concept)
@@ -167,6 +171,7 @@ class CableSession:
         affected; an empty selection is an error — the operation would be
         meaningless and the strategies must not get it for free.
         """
+        concept = self.lattice.check_index(concept)
         selected = self._select(concept, which)
         if not selected:
             raise SelectionError(
@@ -186,6 +191,7 @@ class CableSession:
 
     def show_fa(self, concept: int, which: Selection = "all") -> FA:
         """An FA summarizing the selected traces (sk-strings by default)."""
+        concept = self.lattice.check_index(concept)
         selected = self._select(concept, which)
         if not selected:
             raise SelectionError(
@@ -201,6 +207,7 @@ class CableSession:
         For the whole concept this is its intent; for a sub-selection it is
         σ of the selected objects.
         """
+        concept = self.lattice.check_index(concept)
         selected = self._select(concept, which)
         if not selected:
             raise SelectionError(
@@ -263,7 +270,7 @@ class CableSession:
         """Open a Focus sub-session on ``concept`` under ``reference_fa``."""
         from repro.cable.focus import FocusSession
 
-        return FocusSession(self, concept, reference_fa)
+        return FocusSession(self, self.lattice.check_index(concept), reference_fa)
 
     def focus_label(self, label: str, reference_fa: FA) -> "FocusSession":
         """Open a Focus sub-session on all traces carrying ``label``.

@@ -157,7 +157,10 @@ class ConceptLattice:
             for extent, intent in zip(self.extent_masks, self.intent_masks)
         )
 
-    def _check_index(self, c: int) -> int:
+    def check_index(self, c: int) -> int:
+        """``c`` as a non-negative concept index; negative indices count
+        from the end.  Raises :class:`InputError` when ``c`` is not an
+        integer or out of range."""
         if not isinstance(c, int) or isinstance(c, bool):
             raise InputError(
                 "concept index must be an integer", index=c
@@ -171,13 +174,13 @@ class ConceptLattice:
         return c % len(self) if c < 0 else c
 
     def extent(self, c: int) -> frozenset[int]:
-        return self.concepts[self._check_index(c)].extent
+        return self.concepts[self.check_index(c)].extent
 
     def intent(self, c: int) -> frozenset[int]:
-        return self.concepts[self._check_index(c)].intent
+        return self.concepts[self.check_index(c)].intent
 
     def similarity(self, c: int) -> int:
-        return self.intent_masks[self._check_index(c)].bit_count()
+        return self.intent_masks[self.check_index(c)].bit_count()
 
     @cached_property
     def _object_concept(self) -> dict[int, int]:
@@ -227,7 +230,7 @@ class ConceptLattice:
         These are the traces a user labels "directly at" this concept once
         its children are dealt with (the second case of well-formedness).
         """
-        c = self._check_index(c)
+        c = self.check_index(c)
         covered: set[int] = set()
         for child in self.children[c]:
             covered |= self.concepts[child].extent
@@ -239,7 +242,7 @@ class ConceptLattice:
 
     def ancestors(self, c: int) -> set[int]:
         """All strict superconcepts of ``c`` (transitively)."""
-        c = self._check_index(c)
+        c = self.check_index(c)
         seen: set[int] = set()
         queue = deque(self.parents[c])
         while queue:
@@ -251,7 +254,7 @@ class ConceptLattice:
 
     def descendants(self, c: int) -> set[int]:
         """All strict subconcepts of ``c`` (transitively)."""
-        c = self._check_index(c)
+        c = self.check_index(c)
         seen: set[int] = set()
         queue = deque(self.children[c])
         while queue:

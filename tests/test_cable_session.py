@@ -117,6 +117,33 @@ class TestInspect:
         assert "traces:" in text and "transitions:" in text
 
 
+class TestNegativeIndices:
+    """A negative concept index is resolved once, on entry: the session
+    records the concept it named, which stays put when the lattice grows."""
+
+    def test_label_log_keeps_resolved_index_across_add_traces(self, session):
+        last = len(session.lattice) - 1
+        extent = session.lattice.extent(last)
+        assert session.inspect(-1).concept == last
+        session.label_traces(-1, "bad", "all")
+        assert session.label_log == [(last, "bad")]
+        session.add_traces(
+            [
+                parse_trace("fopen(X); fwrite(X)"),
+                parse_trace("popen(X); fwrite(X); fclose(X)"),
+            ]
+        )
+        assert len(session.lattice) - 1 != last  # -1 now names another
+        assert session.label_log == [(last, "bad")]
+        assert session.lattice.extent(last) >= extent
+
+    def test_focus_records_resolved_parent_concept(
+        self, session, stdio_reference
+    ):
+        focused = session.focus(-1, stdio_reference)
+        assert focused.parent_concept == len(session.lattice) - 1
+
+
 class TestViews:
     def test_show_fa_accepts_selected_traces(self, session):
         top = session.lattice.top

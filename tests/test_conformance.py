@@ -1,9 +1,10 @@
-"""The conformance passes (CC001–CC011): synthetic triggers, the clean
-counterparts, and seeded mutations on the real tree.
+"""The conformance passes (CC001–CC003, CC005, CC007–CC011): synthetic
+triggers, the clean counterparts, and seeded mutations on the real tree.
 
 The seeded mutations are the acceptance tests: each re-plants a bug
 class this repo actually shipped (the PR 5 ``__dict__`` staleness write,
-a dropped ``with self._lock``, a dropped ``budget=`` forward) via
+a dropped ``budget=`` forward; the dropped ``with self._lock`` lives in
+``test_conformance_flow.py``) via
 ``ProjectModel.with_module_source`` and asserts the matching pass fires
 — without touching the working tree.
 """
@@ -44,7 +45,11 @@ def real_tree() -> ProjectModel:
 class TestRegistry:
     def test_all_passes_registered(self):
         codes = [p.code for p in all_passes()]
-        assert codes == [f"CC{n:03d}" for n in range(1, 12)]
+        # CC004 and CC006 were folded into CC010 and CC011; their codes
+        # are retired, not reused.
+        assert codes == [
+            f"CC{n:03d}" for n in range(1, 12) if n not in (4, 6)
+        ]
 
     def test_unknown_code_raises(self):
         with pytest.raises(InputError):
@@ -290,11 +295,13 @@ class TestCC003:
 
 
 # --------------------------------------------------------------------- #
-# CC004 — parameter plumbing
+# CC010 — never-forwarded plumbing (the check formerly coded CC004)
 # --------------------------------------------------------------------- #
 
 
 class TestCC004:
+    """Parameters no call forwards, now reported by CC010."""
+
     BASE = {
         "pkg.callee": (
             "def deep(items, budget=None, strict=False):\n"
@@ -312,9 +319,9 @@ class TestCC004:
                     "    return deep(items)\n"
                 ),
             },
-            codes=["CC004"],
+            codes=["CC010"],
         )
-        assert fps == {"CC004@code:run"}
+        assert fps == {"CC010@code:run"}
 
     def test_keyword_forward_accepted(self):
         assert not findings(
@@ -326,7 +333,7 @@ class TestCC004:
                     "    return deep(items, budget=budget)\n"
                 ),
             },
-            codes=["CC004"],
+            codes=["CC010"],
         )
 
     def test_explicit_other_value_accepted(self):
@@ -340,7 +347,7 @@ class TestCC004:
                     "    return deep(items, budget=None)\n"
                 ),
             },
-            codes=["CC004"],
+            codes=["CC010"],
         )
 
     def test_kwargs_splat_accepted(self):
@@ -353,7 +360,7 @@ class TestCC004:
                     "    return deep(items, **kw)\n"
                 ),
             },
-            codes=["CC004"],
+            codes=["CC010"],
         )
 
     def test_local_consumption_exempt(self):
@@ -370,8 +377,27 @@ class TestCC004:
                     "    return deep(items)\n"
                 ),
             },
-            codes=["CC004"],
+            codes=["CC010"],
         )
+
+    def test_positional_only_param_flagged(self):
+        # A positional-only plumbed parameter is still the function's
+        # own; dropping it on every call is a dropped forward.
+        found = findings(
+            {
+                **self.BASE,
+                "pkg.caller": (
+                    "from pkg.callee import deep\n"
+                    "def run(items, budget=None, /):\n"
+                    "    return deep(items)\n"
+                ),
+            },
+            codes=["CC010"],
+        )
+        [diag] = found
+        assert diag.fingerprint == "CC010@code:run"
+        assert "without forwarding" in diag.message
+        assert diag.suggestion == "pass budget=budget through the call"
 
     def test_callee_without_param_ignored(self):
         assert not findings(
@@ -383,7 +409,7 @@ class TestCC004:
                     "    return deep(items)\n"
                 ),
             },
-            codes=["CC004"],
+            codes=["CC010"],
         )
 
 
@@ -457,7 +483,7 @@ class TestCC005:
 
 
 # --------------------------------------------------------------------- #
-# CC006 — lock discipline
+# CC011 — unguarded writes (the check formerly coded CC006)
 # --------------------------------------------------------------------- #
 
 LOCKED_CLASS = (
@@ -473,17 +499,19 @@ LOCKED_CLASS = (
 
 
 class TestCC006:
+    """Writes outside the class lock, now reported by CC011."""
+
     def test_unlocked_write_flagged(self):
         src = LOCKED_CLASS + (
             "    def rogue(self, k, v):\n"
             "        self.data[k] = v\n"
         )
-        assert fingerprints({"pkg.m": src}, codes=["CC006"]) == {
-            "CC006@code:Cache.rogue"
+        assert fingerprints({"pkg.m": src}, codes=["CC011"]) == {
+            "CC011@code:Cache.rogue"
         }
 
     def test_locked_write_accepted(self):
-        assert not findings({"pkg.m": LOCKED_CLASS}, codes=["CC006"])
+        assert not findings({"pkg.m": LOCKED_CLASS}, codes=["CC011"])
 
     def test_lock_held_helper_convention(self):
         src = LOCKED_CLASS + (
@@ -493,7 +521,7 @@ class TestCC006:
             "        with self._lock:\n"
             "            self._refresh()\n"
         )
-        assert not findings({"pkg.m": src}, codes=["CC006"])
+        assert not findings({"pkg.m": src}, codes=["CC011"])
 
     def test_lock_held_helper_with_unlocked_caller_flagged(self):
         src = LOCKED_CLASS + (
@@ -505,9 +533,27 @@ class TestCC006:
             "    def sneaky(self):\n"
             "        self._refresh()\n"  # unlocked call site: not lock-held
         )
-        assert fingerprints({"pkg.m": src}, codes=["CC006"]) == {
-            "CC006@code:Cache._refresh"
+        assert fingerprints({"pkg.m": src}, codes=["CC011"]) == {
+            "CC011@code:Cache._refresh"
         }
+
+    def test_never_locked_attribute_flagged(self):
+        # No write of ``seen`` holds the lock: each write outside the
+        # constructor is flagged, with the lock it should take.
+        src = LOCKED_CLASS + (
+            "    def mark(self, k):\n"
+            "        self.seen = k\n"
+            "    def forget(self):\n"
+            "        self.seen = None\n"
+        )
+        found = findings({"pkg.m": src}, codes=["CC011"])
+        assert {d.fingerprint for d in found} == {
+            "CC011@code:Cache.mark",
+            "CC011@code:Cache.forget",
+        }
+        for diag in found:
+            assert "outside `with self._lock`" in diag.message
+            assert diag.witness.startswith("pkg/m.py:")
 
     def test_class_without_lock_ignored(self):
         src = (
@@ -517,7 +563,7 @@ class TestCC006:
             "    def put(self, k, v):\n"
             "        self.data[k] = v\n"
         )
-        assert not findings({"pkg.m": src}, codes=["CC006"])
+        assert not findings({"pkg.m": src}, codes=["CC011"])
 
 
 class TestCC007:
@@ -597,7 +643,8 @@ def _module_findings(project, relpath, codes):
 
 class TestSeededMutations:
     def test_real_tree_cc001_cc006_clean(self, real_tree):
-        reports = run_conformance(real_tree, codes=["CC001", "CC006"])
+        # CC006's unguarded-write check is part of CC011 now.
+        reports = run_conformance(real_tree, codes=["CC001", "CC011"])
         assert reports == []
 
     def test_dict_staleness_write_trips_cc001(self, real_tree):
@@ -614,30 +661,8 @@ class TestSeededMutations:
         )
         assert "CC001@code:_rebind_reference" in fps
 
-    def test_removed_lock_trips_cc006(self, real_tree):
-        name = "repro.parallel.relation"
-        original = real_tree.modules[name].source
-        locked = (
-            "    def clear(self) -> None:\n"
-            "        with self._lock:\n"
-            "            self._data.clear()\n"
-            "            self.hits = 0\n"
-            "            self.misses = 0\n"
-        )
-        assert locked in original, "anchor for the seeded mutation moved"
-        unlocked = (
-            "    def clear(self) -> None:\n"
-            "        self._data.clear()\n"
-            "        self.hits = 0\n"
-            "        self.misses = 0\n"
-        )
-        mutated = real_tree.with_module_source(
-            name, original.replace(locked, unlocked)
-        )
-        fps = _module_findings(mutated, "repro/parallel/relation.py", ["CC006"])
-        assert "CC006@code:RelationCache.clear" in fps
-
     def test_dropped_budget_forward_trips_cc004(self, real_tree):
+        # CC010's never-forwarded case (formerly CC004).
         # extend_clustering never reads ``budget`` locally — it only
         # forwards it — so dropping the relation_map forward is a pure
         # plumbing break (cluster_traces, by contrast, tests ``budget
@@ -659,10 +684,10 @@ class TestSeededMutations:
             ),
         )
         fps = _module_findings(
-            mutated, "repro/core/trace_clustering.py", ["CC004"]
+            mutated, "repro/core/trace_clustering.py", ["CC010"]
         )
-        assert any(fp.startswith("CC004@") for fp in fps)
+        assert any(fp.startswith("CC010@") for fp in fps)
         base = _module_findings(
-            real_tree, "repro/core/trace_clustering.py", ["CC004"]
+            real_tree, "repro/core/trace_clustering.py", ["CC010"]
         )
-        assert not any(fp.startswith("CC004@") for fp in base)
+        assert not any(fp.startswith("CC010@") for fp in base)

@@ -325,8 +325,9 @@ class TestCC010:
             codes=["CC010"],
         )
 
-    def test_consistent_dropping_is_cc004_territory(self):
-        # Every site drops it: that is CC004's finding, not CC010's.
+    def test_consistent_dropping_with_local_read_is_clean(self):
+        # Every site drops it, but ``budget`` is read locally: the
+        # never-forwarded check treats that as a decision, not a drop.
         assert not findings(
             {
                 **self.CALLEE,

@@ -1,10 +1,15 @@
 """Crash-safe session persistence under injected faults."""
 
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cable.persist import (
+    _payload_text,
     load_session,
     load_session_with_recovery,
     save_session,
@@ -13,8 +18,13 @@ from repro.cable.persist import (
 )
 from repro.cable.session import CableSession
 from repro.core.trace_clustering import cluster_traces
+from repro.lang.traces import parse_trace
 from repro.robustness import SessionCorrupt
-from repro.robustness.atomicio import atomic_write_text, backup_paths
+from repro.robustness.atomicio import (
+    atomic_write_text,
+    backup_paths,
+    checksum_text,
+)
 from repro.robustness.faults import (
     SimulatedCrash,
     crash_on_fsync,
@@ -22,6 +32,8 @@ from repro.robustness.faults import (
     flip_bit,
     truncate_file,
 )
+from repro.workloads.stdio import reference_fa
+from tests.conftest import STDIO_LABELED
 
 
 @pytest.fixture
@@ -195,3 +207,109 @@ class TestValidation:
         assert "checksum" in str(info.value)
 
 
+
+
+def _stdio_document() -> dict:
+    traces = [
+        parse_trace(text, trace_id=f"t{i}")
+        for i, (text, _) in enumerate(STDIO_LABELED)
+    ]
+    s = CableSession(cluster_traces(traces, reference_fa()))
+    s.label_traces(s.lattice.top, "good", "all")
+    s.label_traces(len(s.lattice) - 1, "bad", "all")
+    return session_to_dict(s)
+
+
+#: Arbitrary JSON values to plant into a document.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**40), max_value=2**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every (container, key) position in a JSON tree, outermost first."""
+    items = (
+        node.items()
+        if isinstance(node, dict)
+        else enumerate(node)
+        if isinstance(node, list)
+        else ()
+    )
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    document = copy.deepcopy(_stdio_document())
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        paths = list(_paths(document))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(_JSON)
+        else:
+            del parent[path[-1]]
+    checksum = draw(st.sampled_from(["recompute", "drop", "keep"]))
+    if checksum == "drop":
+        document.pop("checksum", None)
+    elif checksum == "recompute":
+        document.pop("checksum", None)
+        document["checksum"] = checksum_text(_payload_text(document))
+    return document
+
+
+class TestLoaderFuzz:
+    """A structurally mutated document loads as a session or fails as
+    :class:`SessionCorrupt` — never as a builtin exception."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(classes=[1]),
+            lambda d: d["classes"][0].update(members=[3], ids=["t0"]),
+            lambda d: d.update(label_log=[["0", "good"]]),
+            lambda d: d.update(label_log=[[10**6, "good"]]),
+            lambda d: d.update(operations={"inspections": "1"}),
+        ],
+    )
+    def test_malformed_fields_are_session_corrupt(self, tmp_path, mutate):
+        document = _stdio_document()
+        del document["checksum"]
+        mutate(document)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(SessionCorrupt):
+            load_session(path)
+
+    def test_undecodable_file_is_session_corrupt(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(SessionCorrupt):
+            load_session(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mutated_documents())
+    def test_mutated_document_loads_or_is_corrupt(self, document):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.json"
+            path.write_text(json.dumps(document))
+            try:
+                session = load_session(path)
+            except SessionCorrupt:
+                return
+        assert isinstance(session, CableSession)
+        n = len(session.lattice)
+        assert all(0 <= concept < n for concept, _ in session.label_log)
