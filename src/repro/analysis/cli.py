@@ -47,7 +47,7 @@ from repro.analysis.lint import (
 )
 from repro.fa.automaton import FA
 from repro.fa.serialization import fa_from_text
-from repro.lang.traces import parse_trace
+from repro.lang.traces import parse_traces
 from repro.robustness.errors import ReproError
 
 
@@ -97,12 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_corpus(path: str) -> list:
-    text = Path(path).read_text()
-    return [
-        parse_trace(line.strip(), trace_id=f"t{i}")
-        for i, line in enumerate(text.splitlines())
-        if line.strip()
-    ]
+    lines = Path(path).read_text().splitlines()
+    kept = [i for i, line in enumerate(lines) if line.strip()]
+    return parse_traces([lines[i] for i in kept], [f"t{i}" for i in kept])
 
 
 def _lint_targets(args: argparse.Namespace) -> list[LintReport]:

@@ -77,7 +77,7 @@ from repro.robustness.errors import InputError, ReproError
 from repro.core.trace_clustering import cluster_traces
 from repro.fa.serialization import fa_from_text
 from repro.fa.templates import name_projection_fa, seed_order_fa, unordered_fa
-from repro.lang.traces import TraceSet, parse_trace
+from repro.lang.traces import parse_traces
 from repro.learners.sk_strings import learn_sk_strings
 
 
@@ -291,10 +291,9 @@ class CableCLI:
             raise ValueError("end the focus session before adding traces")
         with open(path) as fh:
             texts = [line.strip() for line in fh if line.strip()]
-        traces = [
-            parse_trace(text, trace_id=f"added{i}").standardize_names()
-            for i, text in enumerate(texts)
-        ]
+        traces = parse_traces(
+            texts, self.session.new_trace_ids(len(texts)), standardize=True
+        )
         added = self.session.add_traces(traces)
         self.emit(
             f"added {len(traces)} trace(s): {added} new class(es), "
@@ -327,15 +326,14 @@ def build_session(
     """
     with open(trace_path) as fh:
         texts = [line.strip() for line in fh if line.strip()]
-    raw = TraceSet.from_strings(texts)
-    traces = TraceSet([t.standardize_names() for t in raw])
+    traces = parse_traces(texts, standardize=True)
     if fa_path:
         with open(fa_path) as fh:
             reference = fa_from_text(fh.read())
     else:
-        reference = learn_sk_strings(list(traces), k=2, s=1.0).fa
+        reference = learn_sk_strings(traces, k=2, s=1.0).fa
     clustering = cluster_traces(
-        list(traces), reference, jobs=jobs, retry=retries, on_fault=on_fault
+        traces, reference, jobs=jobs, retry=retries, on_fault=on_fault
     )
     if clustering.fault_report is not None:
         print(

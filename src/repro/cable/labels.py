@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from repro.core.context import set_of
+
 #: Conventional label names used throughout the reproduction.
 GOOD = "good"
 BAD = "bad"
@@ -27,6 +29,9 @@ class LabelStore:
         if num_objects < 0:
             raise ValueError("num_objects must be >= 0")
         self._labels: list[str | None] = [None] * num_objects
+        #: Bit ``o`` is set iff object ``o`` is unlabeled, so a concept's
+        #: unlabeled objects are one AND with its extent mask.
+        self.unlabeled_mask = (1 << num_objects) - 1
         self._history: list[list[tuple[int, str | None]]] = []
 
     def __len__(self) -> int:
@@ -34,12 +39,21 @@ class LabelStore:
 
     def grow(self, new_size: int) -> None:
         """Extend the store for newly added objects (all unlabeled)."""
-        if new_size < len(self._labels):
+        old_size = len(self._labels)
+        if new_size < old_size:
             raise ValueError("cannot shrink a label store")
-        self._labels.extend([None] * (new_size - len(self._labels)))
+        self._labels.extend([None] * (new_size - old_size))
+        self.unlabeled_mask |= ((1 << new_size) - 1) ^ ((1 << old_size) - 1)
 
     def label_of(self, obj: int) -> str | None:
         return self._labels[obj]
+
+    def _set(self, obj: int, label: str | None) -> None:
+        self._labels[obj] = label
+        if label is None:
+            self.unlabeled_mask |= 1 << obj
+        else:
+            self.unlabeled_mask &= ~(1 << obj)
 
     def assign(self, objects: Iterable[int], label: str) -> int:
         """Give ``label`` to every object in ``objects`` (replacing any
@@ -50,7 +64,7 @@ class LabelStore:
         for o in objects:
             if self._labels[o] != label:
                 undo.append((o, self._labels[o]))
-                self._labels[o] = label
+                self._set(o, label)
         self._history.append(undo)
         return len(undo)
 
@@ -60,7 +74,7 @@ class LabelStore:
         for o in objects:
             if self._labels[o] is not None:
                 undo.append((o, self._labels[o]))
-                self._labels[o] = None
+                self._set(o, None)
         self._history.append(undo)
         return len(undo)
 
@@ -69,7 +83,7 @@ class LabelStore:
         if not self._history:
             return False
         for o, old in self._history.pop():
-            self._labels[o] = old
+            self._set(o, old)
         return True
 
     # ------------------------------------------------------------------ #
@@ -77,9 +91,7 @@ class LabelStore:
     # ------------------------------------------------------------------ #
 
     def unlabeled(self) -> frozenset[int]:
-        return frozenset(
-            o for o, label in enumerate(self._labels) if label is None
-        )
+        return set_of(self.unlabeled_mask)
 
     def unlabeled_in(self, objects: Iterable[int]) -> frozenset[int]:
         return frozenset(o for o in objects if self._labels[o] is None)
@@ -98,7 +110,7 @@ class LabelStore:
         )
 
     def all_labeled(self) -> bool:
-        return all(label is not None for label in self._labels)
+        return not self.unlabeled_mask
 
     def partition(self) -> dict[str, frozenset[int]]:
         """Objects grouped by label (unlabeled objects omitted)."""

@@ -24,12 +24,13 @@ Persistence is fault-tolerant:
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from repro.cable.session import CableSession
 from repro.core.trace_clustering import cluster_traces
 from repro.fa.serialization import fa_from_text, fa_to_text
-from repro.lang.traces import parse_trace
+from repro.lang.traces import parse_traces
 from repro.robustness.atomicio import (
     atomic_write_text,
     backup_paths,
@@ -54,11 +55,12 @@ def session_to_dict(session: CableSession) -> dict:
     """The JSON-serializable form of a session (checksum included)."""
     clustering = session.clustering
     classes = []
-    for o in range(clustering.num_objects):
+    for o, members in enumerate(clustering.class_members):
         classes.append(
             {
-                "members": [str(t) for t in clustering.class_members[o]],
-                "ids": [t.trace_id for t in clustering.class_members[o]],
+                # A class's members share their events, hence their text.
+                "members": [str(members[0])] * len(members),
+                "ids": [t.trace_id for t in members],
                 "label": session.labels.label_of(o),
             }
         )
@@ -67,6 +69,7 @@ def session_to_dict(session: CableSession) -> dict:
         "reference_fa": fa_to_text(clustering.reference_fa),
         "classes": classes,
         "rejected": [str(t) for t in clustering.rejected],
+        "traces_added": session.traces_added,
         "label_log": [
             [concept, label] for concept, label in session.label_log
         ],
@@ -160,6 +163,17 @@ def _validate(data: dict, path: str | None = None) -> None:
                 )
             if trace_id:
                 seen_ids[trace_id] = i
+    traces_added = data.get("traces_added")
+    if traces_added is not None and not (
+        _is_int(traces_added)
+        and traces_added >= sum(len(entry["ids"]) for entry in classes)
+    ):
+        raise SessionCorrupt(
+            "traces_added must be an integer no smaller than the number "
+            "of stored traces",
+            path=path,
+            traces_added=repr(traces_added),
+        )
     label_log = data.get("label_log", [])
     if not isinstance(label_log, list) or not all(
         isinstance(act, list)
@@ -192,15 +206,35 @@ def session_from_dict(data: dict, path: str | None = None) -> CableSession:
     """
     _validate(data, path=path)
     reference = fa_from_text(data["reference_fa"])
-    traces = []
-    labels_by_key: dict[tuple, str] = {}
+    texts: list[str] = []
+    ids: list[str] = []
+    labels: list[str | None] = []
     for entry in data["classes"]:
-        for text, trace_id in zip(entry["members"], entry["ids"]):
-            trace = parse_trace(text, trace_id=trace_id)
-            traces.append(trace)
-            if entry.get("label") is not None:
-                labels_by_key[trace.key()] = entry["label"]
+        texts.extend(entry["members"])
+        ids.extend(entry["ids"])
+        labels.extend([entry.get("label")] * len(entry["ids"]))
+    # One parse per distinct text for the whole document: every member of
+    # a class has its representative's text.
+    traces = parse_traces(texts, ids)
+    labels_by_key = {
+        trace.key(): label
+        for trace, label in zip(traces, labels)
+        if label is not None
+    }
     session = CableSession(cluster_traces(traces, reference))
+    stored = data.get("traces_added")
+    if stored is None:
+        # Older documents predate the counter: start it past every
+        # stored id, so the next added trace cannot reuse one.
+        stored = max(
+            [len(traces)]
+            + [
+                int(t.trace_id[len("added"):]) + 1
+                for t in traces
+                if re.fullmatch(r"added\d+", t.trace_id)
+            ]
+        )
+    session.traces_added = stored
     for o, rep in enumerate(session.clustering.representatives):
         label = labels_by_key.get(rep.key())
         if label is not None:

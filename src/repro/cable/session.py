@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 from repro import obs
 from repro.cable.labels import LabelStore
 from repro.cable.views import ConceptState, ConceptSummary
+from repro.core.context import iter_bits, set_of
 from repro.core.trace_clustering import TraceClustering
 from repro.fa.automaton import FA
 from repro.lang.traces import Trace
@@ -84,6 +85,13 @@ class CableSession:
         #: an end that :meth:`add_traces` moves, so the entry points
         #: resolve it with ``check_index`` first.
         self.label_log: list[tuple[int, str]] = []
+        #: Traces this session has taken in: its clustered corpus plus
+        #: every :meth:`add_traces` batch.  :meth:`new_trace_ids` numbers
+        #: from it, so an added trace never reuses an id; it is saved with
+        #: the session.
+        self.traces_added = sum(clustering.class_counts) + len(
+            clustering.rejected
+        )
         self.ops = OperationCount()
         #: Worker count for the relation fan-out of incremental updates
         #: (``None``/``1`` = serial, ``0`` = one per CPU); the CLI's
@@ -103,17 +111,17 @@ class CableSession:
     # ------------------------------------------------------------------ #
 
     def _select(self, concept: int, which: Selection) -> frozenset[int]:
-        extent = self.lattice.extent(concept)
+        extent = self.lattice.extent_masks[self.lattice.check_index(concept)]
         if which == "all":
-            return frozenset(extent)
+            return set_of(extent)
         if which == "unlabeled":
-            return self.labels.unlabeled_in(extent)
+            return set_of(extent & self.labels.unlabeled_mask)
         if (
             isinstance(which, tuple)
             and len(which) == 2
             and which[0] == "label"
         ):
-            return self.labels.with_label(which[1], extent)
+            return self.labels.with_label(which[1], iter_bits(extent))
         raise SelectionError(f"bad selection: {which!r}")
 
     # ------------------------------------------------------------------ #
@@ -122,11 +130,11 @@ class CableSession:
 
     def concept_state(self, concept: int) -> ConceptState:
         """Unlabeled / PartlyLabeled / FullyLabeled (empty ⇒ FullyLabeled)."""
-        extent = self.lattice.extent(concept)
-        unlabeled = len(self.labels.unlabeled_in(extent))
-        if unlabeled == 0:
+        extent = self.lattice.extent_masks[self.lattice.check_index(concept)]
+        unlabeled = extent & self.labels.unlabeled_mask
+        if not unlabeled:
             return ConceptState.FULLY_LABELED
-        if unlabeled == len(extent):
+        if unlabeled == extent:
             return ConceptState.UNLABELED
         return ConceptState.PARTLY_LABELED
 
@@ -146,16 +154,18 @@ class CableSession:
         concept = self.lattice.check_index(concept)
         self.ops.inspections += 1
         obs.inc("cable.inspections")
-        extent = self.lattice.extent(concept)
+        extent = self.lattice.extent_masks[concept]
         return ConceptSummary(
             concept=concept,
             state=self.concept_state(concept),
-            num_traces=len(extent),
-            num_unlabeled=len(self.labels.unlabeled_in(extent)),
-            labels_present=self.labels.labels_in(extent),
+            num_traces=extent.bit_count(),
+            num_unlabeled=(extent & self.labels.unlabeled_mask).bit_count(),
+            labels_present=self.labels.labels_in(iter_bits(extent)),
             similarity=self.lattice.similarity(concept),
             transitions=tuple(
-                self.clustering.transitions_of(self.lattice.intent(concept))
+                self.clustering.transitions_of(
+                    iter_bits(self.lattice.intent_masks[concept])
+                )
             ),
             children=self.lattice.children[concept],
             parents=self.lattice.parents[concept],
@@ -224,6 +234,11 @@ class CableSession:
     # incremental updates
     # ------------------------------------------------------------------ #
 
+    def new_trace_ids(self, count: int) -> list[str]:
+        """Ids for the next ``count`` traces to add: ``added<n>``, numbered
+        on from :attr:`traces_added`."""
+        return [f"added{self.traces_added + i}" for i in range(count)]
+
     def add_traces(
         self,
         traces: Sequence[Trace],
@@ -258,6 +273,7 @@ class CableSession:
             )
             self.lattice = self.clustering.lattice
             self.labels.grow(self.clustering.num_objects)
+            self.traces_added += len(traces)
             added = self.clustering.num_objects - before
             span.set(new_classes=added, concepts=len(self.lattice))
             return added

@@ -68,10 +68,10 @@ def render_lattice(session: "CableSession") -> str:
     lines = []
     for c in lattice.bfs_top_down():
         state = session.concept_state(c)
-        extent = lattice.extent(c)
+        extent = lattice.extent_masks[c].bit_count()
         marker = {"green": " ", "yellow": "~", "red": "*"}[state.color]
         lines.append(
-            f"{marker} #{c:<4d} |extent|={len(extent):<4d} "
+            f"{marker} #{c:<4d} |extent|={extent:<4d} "
             f"sim={lattice.similarity(c):<3d} "
             f"children={list(lattice.children[c])}"
         )
@@ -106,7 +106,7 @@ def render_lattice_tree(session: "CableSession") -> str:
             parents = ", ".join(f"#{p}" for p in lattice.parents[c]) or "-"
             lines.append(
                 f"  {marker[state.color]} #{c:<4d} "
-                f"traces={len(lattice.extent(c)):<4d} "
+                f"traces={lattice.extent_masks[c].bit_count():<4d} "
                 f"sim={lattice.similarity(c):<3d} parents: {parents}"
             )
     lines.append(
@@ -127,8 +127,8 @@ def lattice_to_dot(session: "CableSession", name: str = "lattice") -> str:
     lines = [f'digraph "{name}" {{', "  rankdir=TB;"]
     for c in lattice:
         state = session.concept_state(c)
-        extent = lattice.extent(c)
-        label = f"#{c}\\n{len(extent)} traces\\nsim={lattice.similarity(c)}"
+        extent = lattice.extent_masks[c].bit_count()
+        label = f"#{c}\\n{extent} traces\\nsim={lattice.similarity(c)}"
         lines.append(
             f'  c{c} [label="{label}", style=filled, '
             f"fillcolor={fills[state]}, shape=box];"

@@ -17,7 +17,13 @@ from repro.lang.events import (
     parse_event,
     parse_pattern,
 )
-from repro.lang.traces import Trace, TraceSet, dedup_traces, parse_trace
+from repro.lang.traces import (
+    Trace,
+    TraceSet,
+    dedup_traces,
+    parse_trace,
+    parse_traces,
+)
 
 __all__ = [
     "ANY",
@@ -32,4 +38,5 @@ __all__ = [
     "TraceSet",
     "dedup_traces",
     "parse_trace",
+    "parse_traces",
 ]

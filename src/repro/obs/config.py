@@ -76,7 +76,8 @@ STATE = _State()
 
 
 def is_enabled() -> bool:
-    """True when a sink is configured (spans and metrics are recorded)."""
+    """True when a sink is configured (spans are recorded).  Metrics are
+    recorded whenever :func:`get_registry` is not ``None``."""
     return STATE.sink is not None
 
 
@@ -98,7 +99,7 @@ def configure(
     chrome_path: str | None = None,
     metrics_path: str | None = None,
     registry: MetricsRegistry | None = None,
-) -> "InMemoryRecorder | Sink":
+) -> "InMemoryRecorder | Sink | None":
     """Enable observability; replaces (and closes) any previous sink.
 
     Pass an explicit ``sink``, or let the convenience keywords assemble
@@ -106,6 +107,11 @@ def configure(
     can read it back), ``trace_path`` a JSON-lines exporter,
     ``chrome_path`` a Chrome-trace exporter, and ``metrics_path`` a
     Prometheus text dump written at :func:`shutdown`.
+
+    A ``registry`` alone configures metrics only: counters, gauges and
+    histograms go to it, spans are the shared no-op and events are
+    dropped, so nothing accumulates per call (returns ``None``).  A
+    long-running server uses this to back ``/metrics``.
     """
     from repro.obs.chrometrace import ChromeTraceExporter
     from repro.obs.jsonl import JsonlExporter
@@ -127,12 +133,14 @@ def configure(
         sinks.append(
             PrometheusTextExporter(metrics_path, registry=new_registry)
         )
-    if not sinks:
+    if not sinks and registry is None:
         raise ValueError(
-            "configure() needs a sink, record=True, or an exporter path"
+            "configure() needs a sink, record=True, an exporter path, "
+            "or a registry"
         )
     STATE.registry = new_registry
-    STATE.sink = sinks[0] if len(sinks) == 1 else MultiSink(sinks)
+    if sinks:
+        STATE.sink = sinks[0] if len(sinks) == 1 else MultiSink(sinks)
     return recorder if recorder is not None else STATE.sink
 
 

@@ -30,7 +30,7 @@ from repro.cable.session import Selection, SelectionError
 from repro.cable.views import render_lattice
 from repro.fa.serialization import fa_from_text
 from repro.fa.templates import name_projection_fa, seed_order_fa, unordered_fa
-from repro.lang.traces import parse_trace
+from repro.lang.traces import parse_traces
 from repro.parallel.pool import FAULT_MODES
 from repro.robustness.budget import Budget
 from repro.robustness.errors import InputError
@@ -250,9 +250,9 @@ class SessionService:
             {
                 "concept": c,
                 "state": session.concept_state(c).name,
-                "extent": len(session.lattice.extent(c)),
+                "extent": extent.bit_count(),
             }
-            for c in session.lattice
+            for c, extent in enumerate(session.lattice.extent_masks)
         ]
         return {
             "concepts": concepts,
@@ -378,11 +378,9 @@ class SessionService:
                 "addtraces needs 'traces': a list of trace strings"
             )
         session = record.session
-        base = session.clustering.num_objects
-        traces = [
-            parse_trace(text, trace_id=f"added{base + i}").standardize_names()
-            for i, text in enumerate(raw)
-        ]
+        traces = parse_traces(
+            raw, session.new_trace_ids(len(raw)), standardize=True
+        )
         supervision = _supervision(payload)
         added = session.add_traces(
             traces,
@@ -426,7 +424,7 @@ class SessionService:
                 "inspections": session.ops.inspections,
                 "labelings": session.ops.labelings,
             },
-            "unlabeled": len(session.labels.unlabeled()),
+            "unlabeled": session.labels.unlabeled_mask.bit_count(),
             "classes": session.clustering.num_objects,
             "concepts": len(session.lattice),
             "done": session.done(),

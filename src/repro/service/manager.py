@@ -48,7 +48,7 @@ from repro.cable.session import CableSession
 from repro.core.trace_clustering import cluster_traces
 from repro.fa.automaton import FA
 from repro.fa.serialization import fa_from_text
-from repro.lang.traces import Trace, TraceSet, parse_trace
+from repro.lang.traces import Trace, parse_traces
 from repro.learners.sk_strings import learn_sk_strings
 from repro.robustness.budget import Budget
 from repro.robustness.errors import InputError, LookupInputError
@@ -259,13 +259,7 @@ class SessionManager:
             "service.create", session=record.session_id, traces=len(traces)
         ) as span:
             try:
-                parsed = [
-                    t
-                    if isinstance(t, Trace)
-                    else parse_trace(t, trace_id=f"t{i}")
-                    for i, t in enumerate(traces)
-                ]
-                parsed = [t.standardize_names() for t in parsed]
+                parsed = parse_traces(traces, standardize=True)
                 if not parsed:
                     raise InputError("create needs at least one trace")
                 if fa_text:
@@ -273,7 +267,7 @@ class SessionManager:
                 else:
                     reference = learn_sk_strings(parsed, k=2, s=1.0).fa
                 clustering = cluster_traces(
-                    list(TraceSet(parsed)),
+                    parsed,
                     reference,
                     budget=budget if budget is not None else self.budget,
                     jobs=self.jobs,

@@ -271,9 +271,10 @@ class CableServer:
         port: int = 0,
         maintenance_interval: float = 30.0,
     ) -> None:
-        # /metrics needs a live registry; recording is off by default.
+        # /metrics needs a live registry.  Metrics only: a sink would
+        # keep every span and event for the life of the process.
         if obs.get_registry() is None:
-            obs.configure(record=True)
+            obs.configure(registry=obs.MetricsRegistry())
         self.manager = manager
         self.service = SessionService(manager)
         self.maintenance_interval = maintenance_interval

@@ -66,6 +66,32 @@ class TestAddTracesCommand:
         assert cli.session.clustering.num_objects == before
         assert "0 new class(es)" in output_of(cli)
 
+    def test_two_batches_then_save_and_load(self, cli, tmp_path):
+        # Each batch numbers its ids on from the session's count, so the
+        # saved session has no duplicate trace id and loads again.
+        from repro.cable.persist import load_session
+
+        first = tmp_path / "first.txt"
+        first.write_text("popen(z9); fwrite(z9); fwrite(z9); pclose(z9)\n")
+        second = tmp_path / "second.txt"
+        second.write_text(
+            "popen(q1); fread(q1); pclose(q1)\n"
+            "popen(z8); fwrite(z8); fwrite(z8); pclose(z8)\n"
+        )
+        cli.run_line(f"addtraces {first}")
+        cli.run_line(f"addtraces {second}")
+        cli.run_line(f"label {cli.session.lattice.top} good all")
+        path = tmp_path / "session.json"
+        cli.run_line(f"savesession {path}")
+        assert "error" not in output_of(cli)
+        restored = load_session(path)
+        session = cli.session
+        assert restored.lattice.extent_masks == session.lattice.extent_masks
+        assert restored.clustering.class_counts == session.clustering.class_counts
+        assert restored.label_log == session.label_log
+        assert restored.done()
+        assert restored.traces_added == session.traces_added
+
 
 class TestSessionPersistence:
     def test_savesession_then_reload(self, cli, tmp_path):

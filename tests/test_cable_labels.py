@@ -1,6 +1,7 @@
 """Label bookkeeping: one label per trace, undo, queries."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cable.labels import LabelStore
 
@@ -103,3 +104,37 @@ class TestQueries:
     def test_all_labeled(self, store):
         store.assign(range(5), "good")
         assert store.all_labeled()
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("assign"),
+            st.lists(st.integers(0, 7), max_size=4),
+            st.sampled_from(["good", "bad"]),
+        ),
+        st.tuples(st.just("clear"), st.lists(st.integers(0, 7), max_size=4)),
+        st.tuples(st.just("undo")),
+        st.tuples(st.just("grow"), st.integers(0, 4)),
+    ),
+    max_size=20,
+)
+
+
+class TestUnlabeledMask:
+    @settings(max_examples=150, deadline=None)
+    @given(_OPS)
+    def test_mask_tracks_the_labels(self, ops):
+        store = LabelStore(4)
+        for op, *args in ops:
+            if op == "grow":
+                store.grow(len(store) + args[0])
+            elif op == "undo":
+                store.undo()
+            else:
+                objects = [o for o in args[0] if o < len(store)]
+                getattr(store, op)(objects, *args[1:])
+            unlabeled = {o for o in range(len(store)) if store.label_of(o) is None}
+            assert store.unlabeled_mask == sum(1 << o for o in unlabeled)
+            assert store.unlabeled() == unlabeled
+            assert store.all_labeled() == (not unlabeled)

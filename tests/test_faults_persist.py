@@ -195,6 +195,21 @@ class TestValidation:
             session_from_dict(data)
         assert info.value.context["trace_id"] == dup
 
+    def test_traces_added_roundtrips(self, session):
+        session.traces_added += 5
+        restored = session_from_dict(session_to_dict(session))
+        assert restored.traces_added == session.traces_added
+
+    def test_document_without_traces_added_counts_stored_ids(self, session):
+        data = session_to_dict(session)
+        del data["traces_added"], data["checksum"]
+        restored = session_from_dict(data)
+        assert restored.traces_added == sum(session.clustering.class_counts)
+        # An older server could have stored an added id above that count
+        # (its batch's lower ids were rejected): start past it.
+        data["classes"][0]["ids"][0] = "added900"
+        assert session_from_dict(data).traces_added == 901
+
     def test_wrong_format_marker(self):
         with pytest.raises(SessionCorrupt):
             session_from_dict({"format": "something-else"})
@@ -283,6 +298,10 @@ class TestLoaderFuzz:
             lambda d: d.update(label_log=[["0", "good"]]),
             lambda d: d.update(label_log=[[10**6, "good"]]),
             lambda d: d.update(operations={"inspections": "1"}),
+            lambda d: d.update(traces_added="12"),
+            lambda d: d.update(traces_added=True),
+            lambda d: d.update(traces_added=-1),
+            lambda d: d.update(traces_added=1),
         ],
     )
     def test_malformed_fields_are_session_corrupt(self, tmp_path, mutate):
@@ -313,3 +332,4 @@ class TestLoaderFuzz:
         assert isinstance(session, CableSession)
         n = len(session.lattice)
         assert all(0 <= concept < n for concept, _ in session.label_log)
+        assert session.traces_added >= sum(session.clustering.class_counts)

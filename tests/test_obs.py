@@ -297,6 +297,22 @@ class TestConfigure:
         assert not obs.is_enabled()
         assert recorder.closed
 
+    def test_registry_alone_is_metrics_only(self):
+        registry = obs.MetricsRegistry()
+        assert obs.configure(registry=registry) is None
+        try:
+            assert obs.get_registry() is registry
+            assert not obs.is_enabled()
+            assert obs.span("nothing-kept") is obs.NOOP_SPAN
+            obs.event("dropped")
+            obs.inc("kept")
+            obs.observe("kept_seconds", 0.5)
+            assert registry.counter("kept").value == 1.0
+            assert registry.histogram("kept_seconds").count == 1
+        finally:
+            obs.shutdown()
+        assert obs.get_registry() is None
+
     def test_multi_sink_fans_out(self, tmp_path):
         path = tmp_path / "t.jsonl"
         recorder = obs.configure(record=True, trace_path=str(path))

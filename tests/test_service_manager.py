@@ -449,3 +449,73 @@ class TestPathConfinement:
         assert not is_loopback_host("0.0.0.0")
         assert not is_loopback_host("192.168.1.5")
         assert not is_loopback_host("")
+
+
+class TestAddTracesThenResume:
+    """A session that took ``addtraces`` batches suspends and resumes with
+    the same lattice, labels and label log (trace ids are never reused)."""
+
+    @pytest.mark.parametrize(
+        "batches",
+        [
+            # The same existing trace twice: the class count stays put.
+            [["open(F); close(F)"], ["open(F); close(F)"]],
+            # New classes, one of them sent in both batches.
+            [["open(F); read(F); read(F); close(F)"],
+             ["open(G); write(G); read(G); close(G)", "open(F); close(F)"]],
+        ],
+    )
+    def test_add_add_suspend_resume(self, manager, batches):
+        from repro.service.api import SessionService
+
+        service = SessionService(manager)
+        service.create({"traces": TRACES, "session": "a"})
+        lattice = service.handle_verb("a", "lattice", {})
+        top = max(lattice["concepts"], key=lambda c: c["extent"])["concept"]
+        service.handle_verb("a", "label", {"concept": top, "label": "good"})
+        for batch in batches:
+            service.handle_verb("a", "addtraces", {"traces": batch})
+
+        def snapshot(record):
+            session = record.session
+            return (
+                session.lattice.extent_masks,
+                session.lattice.intent_masks,
+                list(session.label_log),
+                session.labels.unlabeled(),
+            )
+
+        before = manager.run("a", snapshot)
+        assert service.handle_verb("a", "suspend", {})["suspended"]
+        state = service.handle_verb("a", "state", {})
+        assert manager.info("a")["state"] == "active"
+        assert manager.run("a", snapshot) == before
+        assert state["unlabeled"] == len(before[3])
+        # The resumed session numbers its next trace past every id so far.
+        assert manager.run("a", lambda r: r.session.traces_added) == len(
+            TRACES
+        ) + sum(map(len, batches))
+
+
+def test_serve_verbs_build_no_concepts(manager):
+    """The serve path reads extent and intent masks: ``lattice``,
+    ``inspect``, ``transitions``, ``label`` and ``state`` leave the
+    lattice's frozenset ``concepts`` unbuilt."""
+    from repro.analysis.invariants import disable_debug_checks, enable_debug_checks
+    from repro.service.api import SessionService
+
+    service = SessionService(manager)
+    # The suite-wide invariant hook reads every concept; the verbs must not.
+    disable_debug_checks()
+    try:
+        service.create({"traces": TRACES, "session": "a"})
+        lattice = service.handle_verb("a", "lattice", {})
+        top = max(lattice["concepts"], key=lambda c: c["extent"])["concept"]
+        service.handle_verb("a", "inspect", {"concept": top})
+        service.handle_verb("a", "transitions", {"concept": top})
+        service.handle_verb("a", "label", {"concept": top, "label": "good"})
+        service.handle_verb("a", "state", {})
+    finally:
+        enable_debug_checks()
+    built = manager.run("a", lambda r: "concepts" in vars(r.session.lattice))
+    assert not built

@@ -2,9 +2,12 @@
 
 Boots a real server (subprocess, ephemeral port), drives two concurrent
 sessions through cluster → label → diff via
-:class:`repro.service.client.ServiceClient`, scrapes ``/metrics``, and
-writes a JSON transcript of every step (uploaded as a CI artifact).
-Exits non-zero on any failed step or missing lifecycle metric.
+:class:`repro.service.client.ServiceClient`, then a third session
+through addtraces → addtraces → suspend → state (the resumed session
+must have the classes and concepts the last addtraces reported), scrapes
+``/metrics``, and writes a JSON transcript of every step (uploaded as a
+CI artifact).  Exits non-zero on any failed step or missing lifecycle
+metric.
 
 Usage::
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -37,6 +41,14 @@ TRACES_B = [
     "lock(A); use(A); unlock(A)",
     "lock(B); unlock(B)",
     "lock(C); use(C); use(C); unlock(C)",
+]
+
+#: Two addtraces batches of traces that join existing classes; a server
+#: that numbered new ids from the class count gave both batches the same
+#: ids, and the suspended session could not be loaded again.
+ADDED = [
+    ["open(F); read(F); close(F)"],
+    ["open(G); write(G); close(G)", "open(F); read(F); close(F)"],
 ]
 
 REQUIRED_METRICS = (
@@ -93,6 +105,28 @@ def drive_tenant(
     step("state", operations=state["operations"], classes=state["classes"])
 
 
+def drive_resume(client: ServiceClient, name: str, log: list[dict]) -> bool:
+    """addtraces → addtraces → suspend → state; True when the resumed
+    session has the classes and concepts of the last addtraces."""
+    info = client.create(TRACES_A, session=name)
+    log.append({"step": "create", "classes": info["classes"]})
+    for batch in ADDED:
+        added = client.verb(name, "addtraces", traces=batch)
+        log.append({"step": "addtraces", **added})
+    suspended = client.verb(name, "suspend")["suspended"]
+    log.append({"step": "suspend", "suspended": suspended})
+    state = client.verb(name, "state")
+    log.append(
+        {"step": "state", "classes": state["classes"], "concepts": state["concepts"]}
+    )
+    return (
+        suspended
+        and client.info(name)["state"] == "active"
+        and state["classes"] == added["classes"]
+        and state["concepts"] == added["concepts"]
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -138,6 +172,15 @@ def main(argv: list[str] | None = None) -> int:
         transcript["steps"] = log_a + log_b
         transcript["errors"] = errors
 
+        # A session grown by addtraces survives suspend and resume.
+        resume_log: list[dict] = []
+        try:
+            resumed = drive_resume(client, "tenant-c", resume_log)
+        except Exception as exc:  # noqa: BLE001 - smoke harness boundary
+            errors.append(f"tenant-c: {exc}")
+            resumed = False
+        transcript["resume"] = {"ok": resumed, "steps": resume_log}
+
         # Spec-level diff through the same server.
         diff = client.diff(left="XtFree", right="XGetSelOwner")
         transcript["diff"] = {"relation": diff["diff"]["relation"]}
@@ -160,7 +203,9 @@ def main(argv: list[str] | None = None) -> int:
             and not missing
             and len(log_a) == 4
             and len(log_b) == 4
-            and metrics["repro_service_sessions_spawned"] >= 2.0
+            and resumed
+            and metrics["repro_service_sessions_spawned"] >= 3.0
+            and metrics["repro_service_sessions_resumed"] >= 1.0
         )
         transcript["ok"] = ok
     finally:
@@ -169,6 +214,7 @@ def main(argv: list[str] | None = None) -> int:
             process.wait(timeout=10)
         except subprocess.TimeoutExpired:
             process.kill()
+        shutil.rmtree(store, ignore_errors=True)
         Path(args.out).write_text(json.dumps(transcript, indent=2) + "\n")
 
     print(json.dumps(transcript, indent=2))
