@@ -2,9 +2,10 @@
 
 A debugging session over hundreds of trace classes spans sittings; this
 module serializes everything a session needs — the reference FA, the
-traces (class members, so counts survive), the labels, and the operation
-counters — as a single JSON document.  Loading re-clusters
-deterministically, so the lattice does not need to be stored.
+traces (class members, so counts survive), the traces the reference FA
+rejected, the labels, and the operation counters — as a single JSON
+document.  Loading re-clusters deterministically, so the lattice does not
+need to be stored.
 
 Persistence is fault-tolerant:
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 from repro.cable.session import CableSession
@@ -36,7 +38,7 @@ from repro.robustness.atomicio import (
     backup_paths,
     checksum_text,
 )
-from repro.robustness.errors import ReproError, SessionCorrupt
+from repro.robustness.errors import InputError, ReproError, SessionCorrupt
 
 #: Format marker for forward compatibility.
 FORMAT = "cable-session/1"
@@ -51,8 +53,8 @@ def _payload_text(data: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def session_to_dict(session: CableSession) -> dict:
-    """The JSON-serializable form of a session (checksum included)."""
+def _session_payload(session: CableSession) -> dict:
+    """The JSON-serializable form of a session, without its checksum."""
     clustering = session.clustering
     classes = []
     for o, members in enumerate(clustering.class_members):
@@ -69,6 +71,7 @@ def session_to_dict(session: CableSession) -> dict:
         "reference_fa": fa_to_text(clustering.reference_fa),
         "classes": classes,
         "rejected": [str(t) for t in clustering.rejected],
+        "rejected_ids": [t.trace_id for t in clustering.rejected],
         "traces_added": session.traces_added,
         "label_log": [
             [concept, label] for concept, label in session.label_log
@@ -78,6 +81,12 @@ def session_to_dict(session: CableSession) -> dict:
             "labelings": session.ops.labelings,
         },
     }
+    return data
+
+
+def session_to_dict(session: CableSession) -> dict:
+    """The JSON-serializable form of a session (checksum included)."""
+    data = _session_payload(session)
     data["checksum"] = checksum_text(_payload_text(data))
     return data
 
@@ -163,6 +172,14 @@ def _validate(data: dict, path: str | None = None) -> None:
                 )
             if trace_id:
                 seen_ids[trace_id] = i
+    rejected = data.get("rejected", [])
+    if not _is_str_list(rejected):
+        raise SessionCorrupt("rejected must be a list of trace texts", path=path)
+    rejected_ids = data.get("rejected_ids", [""] * len(rejected))
+    if not _is_str_list(rejected_ids) or len(rejected_ids) != len(rejected):
+        raise SessionCorrupt(
+            "rejected_ids must hold one string per rejected trace", path=path
+        )
     traces_added = data.get("traces_added")
     if traces_added is not None and not (
         _is_int(traces_added)
@@ -213,21 +230,33 @@ def session_from_dict(data: dict, path: str | None = None) -> CableSession:
         texts.extend(entry["members"])
         ids.extend(entry["ids"])
         labels.extend([entry.get("label")] * len(entry["ids"]))
+    # Older documents predate the rejected ids; their traces get none.
+    rejected_texts = data.get("rejected", [])
+    rejected_ids = data.get("rejected_ids", [""] * len(rejected_texts))
     # One parse per distinct text for the whole document: every member of
     # a class has its representative's text.
-    traces = parse_traces(texts, ids)
+    try:
+        parsed = parse_traces(texts + rejected_texts, ids + rejected_ids)
+    except InputError as exc:
+        raise SessionCorrupt(
+            "session holds a malformed trace text", path=path, reason=exc.message
+        ) from exc
+    traces, rejected = parsed[: len(texts)], tuple(parsed[len(texts) :])
     labels_by_key = {
         trace.key(): label
         for trace, label in zip(traces, labels)
         if label is not None
     }
-    session = CableSession(cluster_traces(traces, reference))
+    clustering = cluster_traces(traces, reference)
+    session = CableSession(
+        replace(clustering, rejected=clustering.rejected + rejected)
+    )
     stored = data.get("traces_added")
     if stored is None:
         # Older documents predate the counter: start it past every
         # stored id, so the next added trace cannot reuse one.
         stored = max(
-            [len(traces)]
+            [len(traces) + len(rejected)]
             + [
                 int(t.trace_id[len("added"):]) + 1
                 for t in traces
@@ -264,9 +293,12 @@ def save_session(
 
     The previous file (if any) survives as ``<path>.bak`` (up to
     ``backups`` generations), so a crash at any instant leaves a
-    loadable state behind.
+    loadable state behind.  The file is the compact text the checksum
+    covers with the checksum appended, so the document is serialized
+    once; indented documents load as well.
     """
-    text = json.dumps(session_to_dict(session), indent=2)
+    payload = _payload_text(_session_payload(session))
+    text = f'{payload[:-1]},"checksum":"{checksum_text(payload)}"}}'
     atomic_write_text(path, text, backups=backups)
 
 

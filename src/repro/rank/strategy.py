@@ -13,7 +13,7 @@ from collections.abc import Mapping
 
 from repro.core.trace_clustering import TraceClustering
 from repro.rank.scores import concept_scores
-from repro.strategies.base import LabelingSimulator, StrategyOutcome, StuckError
+from repro.strategies.base import LabelingSimulator, StrategyOutcome
 
 
 def ranked_strategy(
@@ -25,16 +25,9 @@ def ranked_strategy(
     scores = concept_scores(clustering)
     order = sorted(lattice, key=lambda c: (-scores[c], c))
     sim = LabelingSimulator(lattice, reference)
-    while not sim.done():
-        progressed = False
-        for concept in order:
-            if sim.fully_labeled(concept):
-                continue
-            if sim.visit(concept):
-                progressed = True
-        if not progressed:
-            raise StuckError(
-                "ranked strategy made a full pass without labeling; "
-                "the lattice is not well-formed for this labeling"
-            )
-    return sim.outcome("ranked")
+    return sim.run_passes(
+        lambda unlabeled: order,
+        "ranked",
+        "ranked strategy made a full pass without labeling; "
+        "the lattice is not well-formed for this labeling",
+    )

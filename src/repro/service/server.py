@@ -25,8 +25,9 @@ Every request is timed into the ``service.request_seconds`` histogram
 from the :mod:`repro.robustness.errors` taxonomy map onto HTTP statuses
 (unknown session → 404, malformed payload → 400, store full / busy /
 budget-exceeded → 503 with ``Retry-After``, corrupt persistence → 409);
-anything outside the taxonomy escapes to ``handle_error``, which logs
-the fault and fails only that connection, never the server.
+anything outside the taxonomy escapes to ``handle_error``, which writes
+the traceback to stderr and fails only that connection, never the
+server.
 
 :class:`CableServer` owns the listener thread plus a maintenance thread
 that runs :meth:`SessionManager.maintain` (idle eviction, zombie
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import sys
 import threading
 import time
 import traceback
@@ -243,15 +245,13 @@ class _Server(ThreadingHTTPServer):
         super().__init__(address, CableRequestHandler)
 
     def handle_error(self, request: Any, client_address: Any) -> None:
-        """A fault outside the error taxonomy: log it, drop the
-        connection, keep serving (overrides socketserver's
-        print-to-stderr)."""
+        """A fault outside the error taxonomy: count it, write its
+        traceback to stderr, drop the connection, keep serving."""
         obs.inc("service.errors")
         obs.inc("service.errors.internal")
-        obs.event(
-            "service.internal_error",
-            client=str(client_address),
-            trace=traceback.format_exc(limit=8),
+        sys.stderr.write(
+            f"cable serve: internal error serving {client_address}\n"
+            + traceback.format_exc()
         )
 
 

@@ -12,6 +12,7 @@ Implemented: Top-down, Bottom-up, Random (mean over trials), Optimal
 
 from repro.strategies.base import (
     LabelingSimulator,
+    LabelMasks,
     StrategyOutcome,
     StuckError,
     reference_labeling_from_fa,
@@ -25,6 +26,7 @@ from repro.strategies.runner import StrategyTable, evaluate_strategies
 from repro.strategies.topdown import top_down_strategy
 
 __all__ = [
+    "LabelMasks",
     "LabelingSimulator",
     "StrategyOutcome",
     "StrategyTable",

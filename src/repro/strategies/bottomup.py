@@ -15,15 +15,14 @@ every identical-trace class surfaces as its own concept near the bottom.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
 
 from repro.core.concepts import ConceptLattice
-from repro.strategies.base import LabelingSimulator, StrategyOutcome, StuckError
+from repro.strategies.base import LabelingSimulator, Reference, StrategyOutcome
 
 
 def bottom_up_strategy(
     lattice: ConceptLattice,
-    reference: Mapping[int, str],
+    reference: Reference,
     rng: random.Random | None = None,
 ) -> StrategyOutcome:
     """Run Bottom-up to completion (or :class:`StuckError`)."""
@@ -35,18 +34,17 @@ def bottom_up_strategy(
     for c in lattice:
         for child in lattice.children[c]:
             below[c] |= extents[child]
+    # Concepts with unlabeled objects; a concept that leaves never returns.
+    live = list(zip(range(len(extents)), extents, below))
     while not sim.done():
         unlabeled = sim.unlabeled
-        candidates = [
-            c
-            for c, extent in enumerate(extents)
-            if extent & unlabeled and not below[c] & unlabeled
-        ]
+        live = [row for row in live if row[1] & unlabeled]
+        candidates = [c for c, _, under in live if not under & unlabeled]
         if not candidates:
-            raise StuckError("no bottom-up candidate concept (internal error)")
+            raise sim.stuck("no bottom-up candidate concept (internal error)")
         concept = rng.choice(candidates) if rng is not None else candidates[0]
         if not sim.visit(concept):
-            raise StuckError(
+            raise sim.stuck(
                 f"concept {concept}'s own traces are mixed; "
                 "the lattice is not well-formed for this labeling"
             )

@@ -18,10 +18,10 @@ lands in.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from dataclasses import replace
 
 from repro.core.concepts import ConceptLattice
-from repro.strategies.base import LabelingSimulator, StrategyOutcome, StuckError
+from repro.strategies.base import LabelingSimulator, Reference, StrategyOutcome
 
 #: Step 2b cost: the expert checks the learned "good" automaton and the
 #: residual "bad" traces before declaring the labeling final.
@@ -30,31 +30,28 @@ VERIFICATION_OPS = 2
 
 def expert_strategy(
     lattice: ConceptLattice,
-    reference: Mapping[int, str],
+    reference: Reference,
     verification_ops: int = VERIFICATION_OPS,
 ) -> StrategyOutcome:
     """Greedy largest-uniform-cluster labeling plus final verification."""
     sim = LabelingSimulator(lattice, reference)
+    label_of = sim.masks.label_of
     sizes = [extent.bit_count() for extent in sim.extents]
     while not sim.done():
         best: int | None = None
         best_key: tuple[int, int] | None = None
         for concept, extent in enumerate(sim.extents):
             unlabeled = extent & sim.unlabeled
-            if not unlabeled or sim.label_of(unlabeled) is None:
+            if not unlabeled or label_of(unlabeled) is None:
                 continue
             key = (unlabeled.bit_count(), sizes[concept])
             if best_key is None or key > best_key:
                 best, best_key = concept, key
         if best is None:
-            raise StuckError(
+            raise sim.stuck(
                 "no uniform concept remains; "
                 "the lattice is not well-formed for this labeling"
             )
         sim.visit(best)
-    return StrategyOutcome(
-        strategy="expert",
-        inspections=sim.inspections + verification_ops,
-        labelings=sim.labelings,
-        completed=True,
-    )
+    outcome = sim.outcome("expert")
+    return replace(outcome, inspections=outcome.inspections + verification_ops)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.core.trace_clustering import TraceClustering
-from repro.strategies.base import StuckError, reference_labeling_from_fa
+from repro.strategies.base import LabelMasks, StuckError, reference_labeling_from_fa
 from repro.strategies.baseline import baseline_cost
 from repro.strategies.bottomup import bottom_up_strategy
 from repro.strategies.expert import expert_strategy
@@ -94,25 +94,28 @@ def evaluate_strategies(
     the four largest specifications".
     """
     lattice = clustering.lattice
+    # Checked and grouped by label once, for every run below but
+    # Optimal's search.
+    masks = LabelMasks(lattice, reference)
 
     with obs.span("strategy.expert", spec=name):
         try:
-            expert = expert_strategy(lattice, reference).cost
+            expert = expert_strategy(lattice, masks).cost
         except StuckError:
             expert = None
     baseline = baseline_cost(clustering.num_objects).cost
     with obs.span("strategy.top_down", spec=name):
         top_down = best_of(
-            top_down_strategy, lattice, reference, shuffle_trials, f"{seed}-td"
+            top_down_strategy, lattice, masks, shuffle_trials, f"{seed}-td"
         )
     with obs.span("strategy.bottom_up", spec=name):
         bottom_up = best_of(
-            bottom_up_strategy, lattice, reference, shuffle_trials, f"{seed}-bu"
+            bottom_up_strategy, lattice, masks, shuffle_trials, f"{seed}-bu"
         )
     with obs.span("strategy.random", spec=name, trials=random_trials):
         try:
             random_mean = random_strategy_mean(
-                lattice, reference, trials=random_trials, seed=f"{seed}-rnd"
+                lattice, masks, trials=random_trials, seed=f"{seed}-rnd"
             )
         except StuckError:
             random_mean = None

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from collections.abc import Mapping
 
 from repro.core.concepts import ConceptLattice
-from repro.strategies.base import LabelingSimulator, StrategyOutcome, StuckError
+from repro.strategies.base import LabelingSimulator, Reference, StrategyOutcome
 
 
 def _bfs_order(
@@ -43,22 +42,26 @@ def _bfs_order(
 
 def top_down_strategy(
     lattice: ConceptLattice,
-    reference: Mapping[int, str],
+    reference: Reference,
     rng: random.Random | None = None,
 ) -> StrategyOutcome:
     """Run Top-down to completion; raises :class:`StuckError` when a full
     pass makes no progress (the lattice is not well-formed)."""
     sim = LabelingSimulator(lattice, reference)
-    while not sim.done():
-        progressed = False
-        for concept in _bfs_order(lattice, rng):
-            if sim.fully_labeled(concept):
-                continue
-            if sim.visit(concept):
-                progressed = True
-        if not progressed:
-            raise StuckError(
-                "top-down made a full pass without labeling anything; "
-                "the lattice is not well-formed for this labeling"
-            )
-    return sim.outcome("top-down")
+    if rng is None:
+        order = _bfs_order(lattice, None)
+
+        def next_pass(unlabeled: int) -> list[int]:
+            return order
+
+    else:
+
+        def next_pass(unlabeled: int) -> list[int]:
+            return _bfs_order(lattice, rng)
+
+    return sim.run_passes(
+        next_pass,
+        "top-down",
+        "top-down made a full pass without labeling anything; "
+        "the lattice is not well-formed for this labeling",
+    )

@@ -173,7 +173,12 @@ class SpecModel:
     def debugged_fa(self) -> FA:
         """The specification as Table 1 reports it: re-mined from the good
         behaviors with the spec's sk-strings parameters (generalizing, so
-        repetition families become loops)."""
+        repetition families become loops).  Learned on the first call and
+        kept: the behaviors are fixed, and an :class:`FA` is immutable."""
+        return self._debugged_fa
+
+    @cached_property
+    def _debugged_fa(self) -> FA:
         good = [b.trace() for b in self.behaviors if b.good]
         return learn_sk_strings(good, k=self.mine_k, s=self.mine_s).fa
 

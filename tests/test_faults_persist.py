@@ -90,6 +90,39 @@ class TestSaveLoadRoundtrip:
         restored = load_session(path)
         assert _labels_of(restored) == _labels_of(session)
 
+    def test_saved_text_is_the_compact_document(self, tmp_path, session):
+        path = tmp_path / "session.json"
+        save_session(session, path)
+        text = path.read_text()
+        assert "\n" not in text
+        assert json.loads(text) == session_to_dict(session)
+
+    def test_indented_document_loads(self, tmp_path, session):
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(session_to_dict(session), indent=2))
+        restored, warnings = load_session_with_recovery(path)
+        assert warnings == []
+        assert _labels_of(restored) == _labels_of(session)
+
+    def test_rejected_traces_roundtrip(self, tmp_path, stdio_traces, stdio_reference):
+        stray = parse_trace("fclose(f9); fopen(f9)", trace_id="stray")
+        s = CableSession(cluster_traces([*stdio_traces, stray], stdio_reference))
+        assert s.clustering.rejected == (stray,)
+        path = tmp_path / "session.json"
+        save_session(s, path)
+        assert load_session(path).clustering.rejected == (stray,)
+
+    def test_rejected_without_ids_loads(self, tmp_path, session):
+        # Documents written before rejected_ids restore id-less traces.
+        data = session_to_dict(session)
+        del data["checksum"]
+        data["rejected"] = ["fclose(X); fopen(X)"]
+        del data["rejected_ids"]
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(data))
+        restored = load_session(path)
+        assert restored.clustering.rejected == (parse_trace("fclose(X); fopen(X)"),)
+
 
 class TestCorruptionRecovery:
     def _save_twice(self, tmp_path, session):
@@ -302,6 +335,11 @@ class TestLoaderFuzz:
             lambda d: d.update(traces_added=True),
             lambda d: d.update(traces_added=-1),
             lambda d: d.update(traces_added=1),
+            lambda d: d.update(rejected="fopen(X)"),
+            lambda d: d.update(rejected=[3], rejected_ids=["r0"]),
+            lambda d: d.update(rejected=["fopen(X"], rejected_ids=["r0"]),
+            lambda d: d.update(rejected=["fopen(X)"], rejected_ids=[]),
+            lambda d: d.update(rejected=["fopen(X)"], rejected_ids=[None]),
         ],
     )
     def test_malformed_fields_are_session_corrupt(self, tmp_path, mutate):
@@ -312,6 +350,13 @@ class TestLoaderFuzz:
         path.write_text(json.dumps(document))
         with pytest.raises(SessionCorrupt):
             load_session(path)
+
+    def test_malformed_rejected_text_is_session_corrupt(self):
+        document = _stdio_document()
+        document.update(rejected=["fopen(X"], rejected_ids=["r0"])
+        del document["checksum"]
+        with pytest.raises(SessionCorrupt):
+            session_from_dict(document)
 
     def test_undecodable_file_is_session_corrupt(self, tmp_path):
         path = tmp_path / "s.json"

@@ -9,6 +9,7 @@ is evicted to disk and transparently resumed, and ``/metrics`` exposes
 the lifecycle counters and request-latency histograms.
 """
 
+import http.client
 import threading
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from repro import obs
 from repro.obs.promtext import parse_prometheus
 from repro.service import CableServer, ServiceClient, ServiceError, SessionManager
+from repro.service.api import SessionService
 
 N_CLIENTS = 4
 
@@ -258,6 +260,26 @@ class TestErrorMapping:
         assert any("backup" in w for w in info["warnings"])
         # And the attached session still works.
         assert client.verb("w2", "state")["classes"] >= 1
+
+
+class TestInternalError:
+    def test_traceback_reaches_stderr_and_server_keeps_serving(
+        self, client, capsys, monkeypatch
+    ):
+        def broken(self, record, payload):
+            raise RuntimeError("injected fault")
+
+        client.create(TRACES, session="i")
+        monkeypatch.setattr(SessionService, "_verb_state", broken)
+        with pytest.raises((http.client.HTTPException, ConnectionError)):
+            client.verb("i", "state")
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "RuntimeError: injected fault" in err
+        monkeypatch.undo()
+        assert client.verb("i", "state")["classes"] == 3
+        metrics = parse_prometheus(client.metrics())
+        assert metrics["repro_service_errors_internal"] == 1.0
 
 
 class TestDiffEndpoint:

@@ -496,6 +496,27 @@ class TestAddTracesThenResume:
             TRACES
         ) + sum(map(len, batches))
 
+    def test_rejected_trace_survives_resume(self, manager):
+        from repro.service.api import SessionService
+
+        service = SessionService(manager)
+        service.create({"traces": TRACES, "session": "a"})
+        batch = {"traces": ["close(F); open(F)"]}
+        service.handle_verb("a", "addtraces", batch)
+
+        def rejected(record):
+            return record.session.clustering.rejected
+
+        before = manager.run("a", rejected)
+        assert len(before) == 1
+        assert service.handle_verb("a", "suspend", {})["suspended"]
+        service.handle_verb("a", "state", {})
+        assert manager.run("a", rejected) == before
+        # The resumed session still knows the trace: adding it again
+        # does not store it twice.
+        service.handle_verb("a", "addtraces", batch)
+        assert manager.run("a", rejected) == before
+
 
 def test_serve_verbs_build_no_concepts(manager):
     """The serve path reads extent and intent masks: ``lattice``,

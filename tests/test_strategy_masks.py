@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.rank.strategy as rank_strategy_module
+from repro import obs
 import repro.strategies.bottomup as bottomup_module
 import repro.strategies.expert as expert_module
 import repro.strategies.topdown as topdown_module
@@ -29,7 +30,12 @@ from repro.core.context import FormalContext
 from repro.core.godin import build_lattice_godin
 from repro.core.trace_clustering import TraceClustering
 from repro.rank.scores import concept_scores
-from repro.strategies.base import LabelingSimulator, StrategyOutcome, StuckError
+from repro.strategies.base import (
+    LabelingSimulator,
+    LabelMasks,
+    StrategyOutcome,
+    StuckError,
+)
 from repro.strategies.optimal import optimal_cost
 from repro.util.rng import make_rng
 
@@ -212,18 +218,15 @@ def run_ref(strategy, lattice, reference, *args):
 
 def run_masks(module, strategy, *args):
     """The same tuple for a production strategy, read off the simulator
-    it builds."""
+    it builds; the simulator's ``visited`` log records the visits, both
+    through :meth:`LabelingSimulator.visit` and the inlined pass loop."""
     made = []
 
     class Recording(LabelingSimulator):
-        def __post_init__(self):
-            super().__post_init__()
+        def __init__(self, *args):
+            super().__init__(*args)
             self.visited = []
             made.append(self)
-
-        def visit(self, concept):
-            self.visited.append(concept)
-            return super().visit(concept)
 
     with mock.patch.object(module, "LabelingSimulator", Recording):
         try:
@@ -266,51 +269,77 @@ def rng_pair(seed):
     return random.Random(seed), random.Random(seed)
 
 
+#: The strategies take the reference labeling as a mapping, or checked
+#: once as :class:`LabelMasks`; both must behave the same.
+AS_GIVEN = st.sampled_from(["mapping", "masks"])
+
+
+def given_as(how, lattice, reference):
+    return LabelMasks(lattice, reference) if how == "masks" else reference
+
+
 class TestDifferential:
     @DIFFERENTIAL
-    @given(labeled_lattices(), st.one_of(st.none(), SEEDS))
-    def test_top_down(self, case, seed):
+    @given(labeled_lattices(), st.one_of(st.none(), SEEDS), AS_GIVEN)
+    def test_top_down(self, case, seed, how):
         lattice, reference = case
         rng_ref, rng_masks = rng_pair(seed) if seed is not None else (None, None)
         expected = run_ref(ref_top_down, lattice, reference, rng_ref)
         got = run_masks(
-            topdown_module, topdown_module.top_down_strategy, lattice, reference, rng_masks
+            topdown_module,
+            topdown_module.top_down_strategy,
+            lattice,
+            given_as(how, lattice, reference),
+            rng_masks,
         )
         assert got == expected
         if seed is not None:
             assert rng_masks.random() == rng_ref.random()
 
     @DIFFERENTIAL
-    @given(labeled_lattices(), st.one_of(st.none(), SEEDS))
-    def test_bottom_up(self, case, seed):
+    @given(labeled_lattices(), st.one_of(st.none(), SEEDS), AS_GIVEN)
+    def test_bottom_up(self, case, seed, how):
         lattice, reference = case
         rng_ref, rng_masks = rng_pair(seed) if seed is not None else (None, None)
         expected = run_ref(ref_bottom_up, lattice, reference, rng_ref)
         got = run_masks(
-            bottomup_module, bottomup_module.bottom_up_strategy, lattice, reference, rng_masks
+            bottomup_module,
+            bottomup_module.bottom_up_strategy,
+            lattice,
+            given_as(how, lattice, reference),
+            rng_masks,
         )
         assert got == expected
         if seed is not None:
             assert rng_masks.random() == rng_ref.random()
 
     @DIFFERENTIAL
-    @given(labeled_lattices(), SEEDS)
-    def test_random(self, case, seed):
+    @given(labeled_lattices(), SEEDS, AS_GIVEN)
+    def test_random(self, case, seed, how):
         lattice, reference = case
         rng_ref, rng_masks = rng_pair(seed)
         expected = run_ref(ref_random, lattice, reference, rng_ref)
         got = run_masks(
-            random_module, random_module.random_strategy, lattice, reference, rng_masks
+            random_module,
+            random_module.random_strategy,
+            lattice,
+            given_as(how, lattice, reference),
+            rng_masks,
         )
         assert got == expected
         assert rng_masks.random() == rng_ref.random()
 
     @DIFFERENTIAL
-    @given(labeled_lattices())
-    def test_expert(self, case):
+    @given(labeled_lattices(), AS_GIVEN)
+    def test_expert(self, case, how):
         lattice, reference = case
         expected = run_ref(ref_expert, lattice, reference)
-        got = run_masks(expert_module, expert_module.expert_strategy, lattice, reference)
+        got = run_masks(
+            expert_module,
+            expert_module.expert_strategy,
+            lattice,
+            given_as(how, lattice, reference),
+        )
         assert got == expected
 
     @DIFFERENTIAL
@@ -354,20 +383,54 @@ class TestDifferential:
         assert sim.outcome("s") == ref.outcome("s")
 
     @DIFFERENTIAL
-    @given(labeled_lattices(), SEEDS)
-    def test_random_mean(self, case, seed):
+    @given(labeled_lattices(), SEEDS, AS_GIVEN)
+    def test_random_mean(self, case, seed, how):
         lattice, reference = case
+        given_reference = given_as(how, lattice, reference)
         rng = make_rng(seed)
         costs = []
         for _ in range(4):
             outcome = run_ref(ref_random, lattice, reference, rng)[0]
             if outcome == "stuck":
                 with pytest.raises(StuckError):
-                    random_module.random_strategy_mean(lattice, reference, 4, seed)
+                    random_module.random_strategy_mean(lattice, given_reference, 4, seed)
                 return
             costs.append(outcome.cost)
-        got = random_module.random_strategy_mean(lattice, reference, 4, seed)
+        got = random_module.random_strategy_mean(lattice, given_reference, 4, seed)
         assert got == sum(costs) / 4
+
+
+# --------------------------------------------------------------------- #
+# the strategy.* counters: bumped once per run, same totals
+# --------------------------------------------------------------------- #
+
+
+class TestCounters:
+    @settings(max_examples=60, deadline=None)
+    @given(labeled_lattices(), SEEDS)
+    def test_totals_match_the_runs(self, case, seed):
+        lattice, reference = case
+        obs.configure(record=True)
+        try:
+            expected = {"inspections": 0, "labelings": 0, "traces_labeled": 0}
+            for module, strategy, args in (
+                (topdown_module, topdown_module.top_down_strategy, (random.Random(seed),)),
+                (bottomup_module, bottomup_module.bottom_up_strategy, (random.Random(seed),)),
+                (random_module, random_module.random_strategy, (random.Random(seed),)),
+                (expert_module, expert_module.expert_strategy, ()),
+            ):
+                _, labels, visited, labelings = run_masks(
+                    module, strategy, lattice, reference, *args
+                )
+                expected["inspections"] += len(visited)
+                expected["labelings"] += labelings
+                expected["traces_labeled"] += len(labels)
+            counters = obs.get_registry().counters
+            for name, total in expected.items():
+                counter = counters.get(f"strategy.{name}")
+                assert (counter.value if counter else 0) == total
+        finally:
+            obs.shutdown()
 
 
 # --------------------------------------------------------------------- #

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.fa.serialization import fa_to_text
 from repro.lang.traces import dedup_traces
+from repro.learners.sk_strings import learn_sk_strings
 from repro.workloads.animals import ANIMALS, animals_context
 from repro.workloads.specs_catalog import (
     FOUR_LARGEST,
@@ -158,6 +160,14 @@ class TestSpecModel:
         for behavior in spec.behaviors:
             if behavior.good:
                 assert fa.accepts(behavior.trace())
+
+    @pytest.mark.parametrize("name", ["XFreeGC", "RegionsBig"])
+    def test_debugged_fa_is_learned_once(self, name):
+        spec = spec_by_name(name)
+        assert spec.debugged_fa() is spec.debugged_fa()
+        good = [b.trace() for b in spec.behaviors if b.good]
+        fresh = learn_sk_strings(good, k=spec.mine_k, s=spec.mine_s).fa
+        assert fa_to_text(spec.debugged_fa()) == fa_to_text(fresh)
 
 
 class TestCatalogue:
