@@ -43,9 +43,16 @@ RESULTS_DIR = Path(__file__).parent / "results"
 _claimed: tuple[str, dict] | None = None
 
 
-def report(name: str, text: str) -> None:
-    """Register a rendered table/figure for the terminal summary."""
+def show(name: str, text: str) -> None:
+    """Register a rendered text for the terminal summary only (timings,
+    which would make a committed results file differ on every run)."""
     _REPORTS.append((name, text))
+
+
+def report(name: str, text: str) -> None:
+    """Register a rendered table/figure for the terminal summary and
+    write it to ``benchmarks/results/<name>.txt``."""
+    show(name, text)
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")

@@ -21,8 +21,9 @@ Commands::
     focus N fa FILE             ... under an FA loaded from FILE
     focus N regex EXPR...       ... under an FA compiled from a regex
     endfocus                    merge the focus session back
-    refine unordered            sharpen the whole lattice in place by
-    refine seed SYMBOL          apposing a template FA's distinctions
+    refine TEMPLATE [ARG]       sharpen the whole lattice in place by
+                                apposing the distinctions of an FA named
+                                as for focus (unordered, seed SYMBOL, ...)
     rank [N]                    the N most suspicious concepts (deviance)
     flow                        label-flow analysis of this session's acts
                                 (conflicts, implied/redundant labels)
@@ -71,24 +72,15 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable
 
-from repro.cable.session import CableSession, Selection, SelectionError
+from repro.cable.focus import template_fa
+from repro.cable.session import CableSession, SelectionError, parse_selection
 from repro.cable.views import lattice_to_dot, render_lattice
 from repro.robustness.errors import InputError, ReproError
 from repro.core.trace_clustering import cluster_traces
+from repro.fa.automaton import FA
 from repro.fa.serialization import fa_from_text
-from repro.fa.templates import name_projection_fa, seed_order_fa, unordered_fa
-from repro.lang.traces import parse_traces
+from repro.lang.traces import Trace, parse_traces
 from repro.learners.sk_strings import learn_sk_strings
-
-
-def _parse_selection(token: str | None) -> Selection:
-    if token is None or token == "all":
-        return "all"
-    if token == "unlabeled":
-        return "unlabeled"
-    if token.startswith("="):
-        return ("label", token[1:])
-    raise SelectionError(f"bad selection {token!r} (use all|unlabeled|=LABEL)")
 
 
 class CableCLI:
@@ -144,18 +136,20 @@ class CableCLI:
             summary = self.session.inspect(int(args[0]))
             self.emit(summary.render())
         elif cmd == "fa":
-            which = _parse_selection(args[1] if len(args) > 1 else None)
+            which = parse_selection(args[1] if len(args) > 1 else None)
             self.emit(self.session.show_fa(int(args[0]), which).pretty())
         elif cmd == "trans":
-            which = _parse_selection(args[1] if len(args) > 1 else None)
+            which = parse_selection(args[1] if len(args) > 1 else None)
             for t in self.session.show_transitions(int(args[0]), which):
                 self.emit(f"  {t}")
         elif cmd == "traces":
-            which = _parse_selection(args[1] if len(args) > 1 else None)
+            which = parse_selection(args[1] if len(args) > 1 else None)
             for t in self.session.show_traces(int(args[0]), which):
                 self.emit(f"  {t}")
         elif cmd == "label":
-            which = _parse_selection(args[2] if len(args) > 2 else "unlabeled")
+            which = parse_selection(
+                args[2] if len(args) > 2 else None, default="unlabeled"
+            )
             n = self.session.label_traces(int(args[0]), args[1], which)
             self.emit(f"labeled {n} trace class(es) {args[1]!r}")
         elif cmd == "focus":
@@ -215,26 +209,19 @@ class CableCLI:
             self.emit(f"error: unknown command {cmd!r} (try help)")
         return True
 
-    def _focus(self, concept: int, args: list[str]) -> None:
-        symbols = sorted(
-            {str(e) for t in self.session.show_traces(concept) for e in t}
-        )
+    def _template_fa(self, args: list[str], traces: Iterable[Trace]) -> FA:
+        """The FA a ``focus``/``refine`` command names (``TEMPLATE
+        [ARG...]``, default ``unordered``); ``fa`` reads its FA text
+        from the file ARG."""
         kind = args[0] if args else "unordered"
-        if kind == "unordered":
-            fa = unordered_fa(symbols)
-        elif kind == "seed":
-            fa = seed_order_fa(symbols, args[1])
-        elif kind == "name":
-            fa = name_projection_fa(symbols, args[1])
-        elif kind == "fa":
-            with open(args[1]) as fh:
-                fa = fa_from_text(fh.read())
-        elif kind == "regex":
-            from repro.fa.regex import compile_regex
+        arg = " ".join(args[1:])
+        if kind == "fa" and arg:
+            with open(arg) as fh:
+                arg = fh.read()
+        return template_fa(kind, arg, traces)
 
-            fa = compile_regex(" ".join(args[1:]))
-        else:
-            raise InputError("unknown focus template", template=kind)
+    def _focus(self, concept: int, args: list[str]) -> None:
+        fa = self._template_fa(args, self.session.show_traces(concept))
         focused = self.session.focus(concept, fa)
         if focused.unclustered:
             self.emit(
@@ -248,42 +235,23 @@ class CableCLI:
             f"{len(focused.lattice)} concepts)"
         )
 
-    def _template_fa(self, args: list[str]):
-        symbols = sorted(
-            {str(e) for t in self.session.clustering.representatives for e in t}
-        )
-        kind = args[0] if args else "unordered"
-        if kind == "unordered":
-            return unordered_fa(symbols)
-        if kind == "seed":
-            return seed_order_fa(symbols, args[1])
-        if kind == "name":
-            return name_projection_fa(symbols, args[1])
-        raise ValueError(f"unknown template {kind!r}")
-
     def _refine(self, args: list[str]) -> None:
         from repro.cable.refine import refine_session
 
         if len(self.stack) > 1:
             raise ValueError("end the focus session before refining")
-        concepts = refine_session(self.session, self._template_fa(args))
+        fa = self._template_fa(args, self.session.clustering.representatives)
+        concepts = refine_session(self.session, fa)
         self.emit(f"lattice refined: now {concepts} concepts (labels kept)")
 
     def _rank(self, count: int) -> None:
-        from repro.rank.scores import concept_scores
+        from repro.rank.scores import rank_concepts
 
-        scores = concept_scores(self.session.clustering)
-        lattice = self.session.lattice
-        ranked = sorted(
-            (c for c in lattice if lattice.extent(c)),
-            key=lambda c: (-scores[c], c),
-        )
         self.emit("most suspicious concepts (deviance score):")
-        for c in ranked[:count]:
+        for c, score, traces in rank_concepts(self.session.clustering)[:count]:
             state = self.session.concept_state(c)
             self.emit(
-                f"  #{c:<4d} score={scores[c]:.3f} "
-                f"traces={len(lattice.extent(c)):<4d} [{state.name}]"
+                f"  #{c:<4d} score={score:.3f} traces={traces:<4d} [{state.name}]"
             )
 
     def _addtraces(self, path: str) -> None:

@@ -14,9 +14,59 @@ exactly what Section 4.3 describes for non-well-formed lattices.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.cable.session import CableSession
 from repro.core.trace_clustering import cluster_traces
 from repro.fa.automaton import FA
+from repro.fa.serialization import fa_from_text
+from repro.fa.templates import name_projection_fa, seed_order_fa, unordered_fa
+from repro.lang.traces import Trace
+from repro.robustness.errors import InputError
+
+#: What each Focus template but ``unordered`` takes as its argument.
+_TEMPLATE_ARGS = {
+    "seed": "a seed event",
+    "name": "a name variable",
+    "fa": "FA text",
+    "regex": "an expression",
+}
+
+#: The Focus templates :func:`template_fa` resolves.
+TEMPLATES = ("unordered", *_TEMPLATE_ARGS)
+
+
+def template_fa(template: object, arg: object, traces: Iterable[Trace]) -> FA:
+    """The reference FA a Focus (or refinement) request names.
+
+    ``unordered``, ``seed`` and ``name`` are the templates of
+    :mod:`repro.fa.templates` over the events of ``traces``; ``arg`` is
+    the seed event or the name variable.  ``fa`` takes FA text and
+    ``regex`` a regular expression as ``arg``.  A bad request raises
+    :class:`~repro.robustness.errors.InputError`.
+    """
+    if template not in TEMPLATES:
+        raise InputError(
+            "unknown focus template", template=template, known=list(TEMPLATES)
+        )
+    if template != "unordered" and (not isinstance(arg, str) or not arg.strip()):
+        raise InputError(
+            f"focus template {template!r} needs {_TEMPLATE_ARGS[template]} "
+            "as its argument",
+            arg=arg,
+        )
+    if template == "fa":
+        return fa_from_text(arg)
+    if template == "regex":
+        from repro.fa.regex import compile_regex
+
+        return compile_regex(arg)
+    symbols = sorted({str(e) for t in traces for e in t})
+    if template == "seed":
+        return seed_order_fa(symbols, arg)
+    if template == "name":
+        return name_projection_fa(symbols, arg)
+    return unordered_fa(symbols)
 
 
 class FocusSession(CableSession):
@@ -47,7 +97,7 @@ class FocusSession(CableSession):
         traces = [
             parent.clustering.representatives[o] for o in parent_objects
         ]
-        clustering = cluster_traces(traces, reference_fa, dedup=False)
+        clustering = cluster_traces(traces, reference_fa)
         super().__init__(clustering, learner=parent._learner)
         # Map local object indices back to parent object indices.  The
         # sub-clustering preserves the order of accepted traces, so walk

@@ -28,6 +28,7 @@ from repro.core.trace_clustering import (
     transition_attribute_names,
 )
 from repro.fa.automaton import FA, Transition
+from repro.robustness.errors import InputError
 
 
 def _combined_fa(first: FA, second: FA) -> FA:
@@ -72,9 +73,11 @@ def refine_clustering(
     relations = relation_map(extra_fa, clustering.representatives)
     for o, (trace, rel) in enumerate(zip(clustering.representatives, relations)):
         if not rel.accepted:
-            raise ValueError(
-                f"refinement FA rejects trace class {o} ({trace}); "
-                "refinement must keep every trace clusterable"
+            raise InputError(
+                "refinement FA rejects a trace class; refinement must keep "
+                "every trace clusterable",
+                trace_class=o,
+                trace=str(trace),
             )
         rows.append(old_context.rows[o] | {offset + a for a in rel.executed})
     combined = _combined_fa(clustering.reference_fa, extra_fa)

@@ -50,6 +50,21 @@ class SelectionError(InputError):
     """
 
 
+def parse_selection(raw: object, default: Selection = "all") -> Selection:
+    """A selection from its text form: ``"all"``, ``"unlabeled"``, or
+    ``"=LABEL"``; ``None`` gives ``default``.  Anything else raises
+    :class:`SelectionError`."""
+    if raw is None:
+        return default
+    if raw in ("all", "unlabeled"):
+        return raw
+    if isinstance(raw, str) and raw.startswith("="):
+        return ("label", raw[1:])
+    raise SelectionError(
+        f"bad selection {raw!r} (use all|unlabeled|=LABEL)"
+    )
+
+
 @dataclass
 class OperationCount:
     """Cable operations performed so far (Section 4.2's cost model)."""
@@ -253,7 +268,11 @@ class CableSession:
         label); new classes enter the lattice via Godin's incremental
         insertion and start Unlabeled.  Returns the number of new
         classes.  Concept *indices are preserved* for existing concepts,
-        so a user's mental map of the lattice survives the update.
+        so a user's mental map of the lattice survives the update; only
+        an empty-extent bottom, which holds no traces, can change.
+        The result equals clustering every trace at once, concept for
+        concept, so a saved or suspended session resumes with the same
+        numbering and its ``label_log`` names the same extents.
         The session's ``retries``/``on_fault`` knobs supervise the
         relation fan-out; ``budget``/``task_timeout``/``on_fault``
         override per call (the served session passes the request's).

@@ -23,7 +23,6 @@ from repro.core.godin import GodinLatticeBuilder, build_lattice_godin
 from repro.core.nextclosure import build_lattice_nextclosure, closed_intents
 from repro.core.trace_clustering import (
     TraceClustering,
-    build_trace_context,
     cluster_traces,
     extend_clustering,
     trace_object_names,
@@ -40,7 +39,6 @@ __all__ = [
     "build_lattice_batch",
     "build_lattice_godin",
     "build_lattice_nextclosure",
-    "build_trace_context",
     "closed_intents",
     "cluster_traces",
     "context_from_cxt",

@@ -41,16 +41,20 @@ Intents and extents are held as **int bitmasks** throughout (see
 :class:`~repro.core.context.BitContext`): the subset tests, meets, and
 maximality scans of every insertion are single bitwise ops instead of
 frozenset algebra, and batch insertion
-(:meth:`GodinLatticeBuilder.add_objects`) feeds the per-object loop
-straight from the context's precomputed row masks.  A built
-:class:`~repro.core.concepts.ConceptLattice` takes the masks as they are
-(it makes frozenset concepts only when asked); checkpoints speak
-frozensets.
+(:meth:`GodinLatticeBuilder.add_objects`) feeds the per-object loop row
+masks.  A built :class:`~repro.core.concepts.ConceptLattice` takes the
+masks as they are (it makes frozenset concepts only when asked);
+checkpoints speak frozensets.
 
 The builder also maintains the lattice-wide invariant that a concept with
 intent = (all attributes seen so far) always exists — the canonical bottom,
 whose id it keeps — growing or splitting it when an object introduces
-fresh attributes.  Every insertion starts there.
+fresh attributes.  Every insertion starts there.  Finishing a build
+(:meth:`GodinLatticeBuilder.build`) grows the bottom to the context's whole
+attribute universe, and resuming from a finished lattice
+(:meth:`GodinLatticeBuilder.from_lattice`) undoes that growth, so adding
+objects to a built lattice gives the same lattice, concept for concept,
+as building all the rows afresh.
 
 Construction can be **budgeted** (:class:`~repro.robustness.budget.Budget`):
 the builder checks wall time and object count before every insertion and
@@ -75,7 +79,7 @@ from repro import obs
 from repro.core.concepts import ConceptLattice
 from repro.core.context import FormalContext, mask_of, set_of
 from repro.robustness.budget import Budget, BudgetMeter
-from repro.robustness.errors import BudgetExceeded
+from repro.robustness.errors import BudgetExceeded, InputError
 
 
 @dataclass(frozen=True)
@@ -126,23 +130,64 @@ class GodinLatticeBuilder:
     def from_lattice(
         cls, lattice: ConceptLattice, budget: Budget | None = None
     ) -> "GodinLatticeBuilder":
-        """Resume incremental construction from an existing lattice.
+        """Resume incremental construction from a lattice this builder
+        built.
 
         This is the incremental algorithm's raison d'être: when new
         objects arrive (say, a fresh batch of violation traces in an open
         Cable session), the existing concepts are reused rather than
-        rebuilt.  The attribute universe must not grow (it is fixed by
-        the reference FA).
+        rebuilt.  The builder returns to the state the build was in
+        before :meth:`build` finished it: the attributes seen are the
+        union of the rows, the bottom's growth to the whole universe is
+        undone, and a lattice of no objects restarts as an empty
+        builder.  Inserting more rows and building therefore gives the
+        lattice a fresh build of all the rows gives, concept ids and
+        covers included.  A lattice numbered by another construction
+        whose empty bottom is not its last concept raises
+        :class:`~repro.robustness.errors.InputError`.
         """
         builder = cls(budget=budget)
-        builder._extents = list(lattice.extent_masks)
-        builder._intents = list(lattice.intent_masks)
-        builder._parents = [set(p) for p in lattice.parents]
-        builder._children = [set(c) for c in lattice.children]
-        builder._bottom = lattice.bottom
-        builder._all_attrs = mask_of(lattice.context.all_attributes)
-        builder._num_objects = lattice.context.num_objects
         obs.inc("godin.resumes")
+        context = lattice.context
+        if not context.num_objects:
+            return builder
+        # Every row is the intent of its object concept, and every
+        # populated concept's intent lies inside a row.
+        seen = 0
+        for extent, intent in zip(lattice.extent_masks, lattice.intent_masks):
+            if extent:
+                seen |= intent
+        extents = list(lattice.extent_masks)
+        intents = list(lattice.intent_masks)
+        parents = [set(p) for p in lattice.parents]
+        children = [set(c) for c in lattice.children]
+        bottom = lattice.bottom
+        if intents[bottom] != seen:
+            above = lattice.parents[bottom]
+            if len(above) == 1 and intents[above[0]] == seen:
+                # build() hung an empty bottom, the last concept, under
+                # the populated one.
+                if bottom != len(intents) - 1:
+                    raise InputError(
+                        "only a lattice built by Godin's algorithm can be "
+                        "resumed: its empty bottom is not the last concept",
+                        bottom=bottom,
+                        num_concepts=len(intents),
+                    )
+                for masks in (extents, intents, parents, children):
+                    masks.pop()
+                children[above[0]].discard(bottom)
+                bottom = above[0]
+            else:
+                # build() widened an empty-extent bottom's intent.
+                intents[bottom] = seen
+        builder._extents = extents
+        builder._intents = intents
+        builder._parents = parents
+        builder._children = children
+        builder._bottom = bottom
+        builder._all_attrs = seen
+        builder._num_objects = context.num_objects
         return builder
 
     @classmethod
@@ -388,7 +433,19 @@ class GodinLatticeBuilder:
 
     def build(self, context: FormalContext) -> ConceptLattice:
         """The :class:`ConceptLattice` for ``context`` of the concepts built
-        so far."""
+        so far.
+
+        This is every build's one finishing step: the bottom's intent
+        takes every attribute of ``context``, used by some row or not,
+        and a context with no objects gets the single concept (∅, A).
+        :meth:`from_lattice` undoes exactly this step.
+        """
+        universe = (1 << context.num_attributes) - 1
+        if not self._intents:
+            self._new_concept(0, universe)
+            self._all_attrs = universe
+        elif universe & ~self._all_attrs:
+            self._grow_bottom(universe)
         with obs.span("godin.freeze", concepts=len(self._intents)):
             return ConceptLattice.from_masks(
                 context, self._extents, self._intents, self._parents, self._children
@@ -398,16 +455,21 @@ class GodinLatticeBuilder:
 def build_lattice_godin(
     context: FormalContext,
     budget: Budget | None = None,
-    resume_from: LatticeCheckpoint | None = None,
+    resume_from: LatticeCheckpoint | ConceptLattice | None = None,
 ) -> ConceptLattice:
     """Build the concept lattice of ``context`` with Godin's Algorithm 1.
 
     With a ``budget``, an over-limit build raises
     :class:`~repro.robustness.errors.BudgetExceeded` whose ``checkpoint``
     can be passed back as ``resume_from`` (objects already inserted are
-    skipped, so a resumed build reaches the identical lattice).
+    skipped, so a resumed build reaches the identical lattice).  A
+    ``resume_from`` lattice built from a prefix of ``context``'s rows is
+    extended by the rest (:meth:`GodinLatticeBuilder.from_lattice`), to
+    the lattice a fresh build gives.
     """
-    if resume_from is not None:
+    if isinstance(resume_from, ConceptLattice):
+        builder = GodinLatticeBuilder.from_lattice(resume_from, budget=budget)
+    elif resume_from is not None:
         builder = GodinLatticeBuilder.from_checkpoint(resume_from, budget=budget)
     else:
         builder = GodinLatticeBuilder(budget=budget)
@@ -417,19 +479,12 @@ def build_lattice_godin(
         attributes=context.num_attributes,
         resumed=resume_from is not None,
     ) as build_span:
-        if builder._num_objects < context.num_objects:
+        start = builder._num_objects
+        if start < context.num_objects:
             builder.add_objects(
-                context.bits.rows_bits[builder._num_objects:],
-                first_obj=builder._num_objects,
+                [mask_of(row) for row in context.rows[start:]], first_obj=start
             )
         build_span.set(concepts=builder.num_concepts)
-    all_attrs_bits = context.bits.all_attributes_bits
-    if context.num_objects == 0:
-        # Degenerate context: the lattice is the single concept (∅, A).
-        builder._new_concept(0, all_attrs_bits)
-        builder._all_attrs = all_attrs_bits
-    elif all_attrs_bits & ~builder._all_attrs:
-        # Attributes that occur in no row still belong to the bottom intent.
-        builder._grow_bottom(all_attrs_bits)
-    obs.set_gauge("lattice.concepts", builder.num_concepts)
-    return builder.build(context)
+    lattice = builder.build(context)
+    obs.set_gauge("lattice.concepts", len(lattice))
+    return lattice

@@ -24,6 +24,7 @@ from collections.abc import Iterable
 
 from repro.fa.automaton import FA, Transition
 from repro.lang.events import EventPattern, WILDCARD_SYMBOL, parse_pattern
+from repro.robustness.errors import InputError
 
 
 def _as_patterns(events: Iterable[str | EventPattern]) -> list[EventPattern]:
@@ -56,7 +57,9 @@ def name_projection_fa(
     patterns = _as_patterns(events)
     kept = [p for p in patterns if variable in p.variables()]
     if not kept:
-        raise ValueError(f"no event pattern mentions variable {variable!r}")
+        raise InputError(
+            "no event pattern mentions the variable", variable=variable
+        )
     transitions = [Transition("q0", p, "q0") for p in kept]
     transitions.append(Transition("q0", EventPattern(WILDCARD_SYMBOL), "q0"))
     return FA(["q0"], ["q0"], ["q0"], transitions)

@@ -15,9 +15,9 @@ parallel.  This package provides the two pieces the hot paths share:
 * :func:`relation_map` / :class:`RelationCache` — the relation evaluated
   over a whole corpus, with a per-FA LRU cache in front of the pool.
 
-``cluster_traces``, ``extend_clustering``, ``build_trace_context``, and
-``verify.check_all`` all accept ``jobs``/``retry``/``task_timeout``/
-``on_fault`` and route through here; the ``cable`` CLI and ``run_spec``
+``cluster_traces``, ``extend_clustering`` and ``verify.check_all`` all
+accept ``jobs``/``retry``/``task_timeout``/``on_fault`` and route
+through here; the ``cable`` CLI and ``run_spec``
 surface them as ``--jobs N`` (``0`` = one worker per CPU),
 ``--retries N``, and ``--on-fault MODE``.  A
 :mod:`repro.robustness.chaos` profile (``REPRO_CHAOS``) injects

@@ -15,7 +15,9 @@ likely erroneous.  Scores are in [0, 1]:
   only common transitions but occur rarely);
 * ``concept_scores(clustering)[c]`` — the *mean* deviance of the
   concept's extent, so small deviant clusters surface first while big
-  mainstream clusters sink.
+  mainstream clusters sink;
+* ``rank_concepts(clustering)`` — the concepts with traces in that
+  order, the one order the Cable ``rank`` command and verb show.
 
 Unlike coring, ranking never deletes anything — it only orders the
 user's attention, which is why it composes with Cable instead of
@@ -70,3 +72,15 @@ def concept_scores(clustering: TraceClustering) -> dict[int, float]:
             continue
         scores[c] = sum(deviance[o] for o in extent) / len(extent)
     return scores
+
+
+def rank_concepts(clustering: TraceClustering) -> list[tuple[int, float, int]]:
+    """The concepts with traces, most suspicious first (ties by id), as
+    ``(concept, score, number of trace classes)``."""
+    scores = concept_scores(clustering)
+    extents = clustering.lattice.extent_masks
+    ranked = sorted(
+        (c for c, extent in enumerate(extents) if extent),
+        key=lambda c: (-scores[c], c),
+    )
+    return [(c, scores[c], extents[c].bit_count()) for c in ranked]

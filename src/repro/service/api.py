@@ -25,11 +25,11 @@ from __future__ import annotations
 from typing import Any
 
 from repro import obs
+from repro.cable.focus import template_fa
 from repro.cable.persist import save_session
-from repro.cable.session import Selection, SelectionError
+from repro.cable.session import parse_selection
 from repro.cable.views import render_lattice
 from repro.fa.serialization import fa_from_text
-from repro.fa.templates import name_projection_fa, seed_order_fa, unordered_fa
 from repro.lang.traces import parse_traces
 from repro.parallel.pool import FAULT_MODES
 from repro.robustness.budget import Budget
@@ -77,20 +77,6 @@ def parse_budget(raw: Any) -> Budget | None:
         return Budget(**{k: raw[k] for k in allowed if k in raw})
     except ValueError as exc:
         raise InputError("bad budget", reason=str(exc)) from exc
-
-
-def parse_selection(raw: Any, default: str = "all") -> Selection:
-    """A selection from its JSON form: ``"all"``, ``"unlabeled"``, or
-    ``"=LABEL"`` (matching the CLI's grammar)."""
-    if raw is None:
-        return default
-    if raw in ("all", "unlabeled"):
-        return raw
-    if isinstance(raw, str) and raw.startswith("="):
-        return ("label", raw[1:])
-    raise SelectionError(
-        f"bad selection {raw!r} (use all|unlabeled|=LABEL)"
-    )
 
 
 def _supervision(payload: dict[str, Any]) -> dict[str, Any]:
@@ -316,32 +302,12 @@ class SessionService:
         self, record: SessionRecord, payload: dict[str, Any]
     ) -> dict[str, Any]:
         concept = _concept(payload)
-        template = payload.get("template", "unordered")
-        arg = payload.get("arg")
         session = record.current
-        symbols = sorted(
-            {str(e) for t in session.show_traces(concept) for e in t}
+        fa = template_fa(
+            payload.get("template", "unordered"),
+            payload.get("arg"),
+            session.show_traces(concept),
         )
-        if template == "unordered":
-            fa = unordered_fa(symbols)
-        elif template == "seed":
-            fa = seed_order_fa(symbols, str(arg))
-        elif template == "name":
-            fa = name_projection_fa(symbols, str(arg))
-        elif template == "fa":
-            if not isinstance(arg, str) or not arg:
-                raise InputError("focus template 'fa' needs FA text in 'arg'")
-            fa = fa_from_text(arg)
-        elif template == "regex":
-            from repro.fa.regex import compile_regex
-
-            if not isinstance(arg, str) or not arg:
-                raise InputError(
-                    "focus template 'regex' needs an expression in 'arg'"
-                )
-            fa = compile_regex(arg)
-        else:
-            raise InputError("unknown focus template", template=template)
         focused = session.focus(concept, fa)
         record.stack.append(focused)
         return {
@@ -442,27 +408,21 @@ class SessionService:
     def _verb_rank(
         self, record: SessionRecord, payload: dict[str, Any]
     ) -> dict[str, Any]:
-        from repro.rank.scores import concept_scores
+        from repro.rank.scores import rank_concepts
 
         count = payload.get("count", 5)
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise InputError("rank 'count' must be a positive integer")
         session = record.current
-        scores = concept_scores(session.clustering)
-        lattice = session.lattice
-        ranked = sorted(
-            (c for c in lattice if lattice.extent(c)),
-            key=lambda c: (-scores[c], c),
-        )
         return {
             "ranked": [
                 {
                     "concept": c,
-                    "score": scores[c],
-                    "traces": len(lattice.extent(c)),
+                    "score": score,
+                    "traces": traces,
                     "state": session.concept_state(c).name,
                 }
-                for c in ranked[:count]
+                for c, score, traces in rank_concepts(session.clustering)[:count]
             ]
         }
 

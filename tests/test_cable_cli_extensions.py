@@ -7,6 +7,7 @@ import pytest
 from repro.cable.cli import CableCLI, main
 from repro.cable.session import CableSession
 from repro.core.trace_clustering import cluster_traces
+from repro.robustness.errors import InputError
 
 
 @pytest.fixture
@@ -46,6 +47,16 @@ class TestRefineCommand:
     def test_refine_inside_focus_rejected(self, cli):
         cli.run_line(f"focus {cli.session.lattice.top} unordered")
         cli.run_line("refine unordered")
+        assert "error:" in output_of(cli)
+
+
+    @pytest.mark.parametrize(
+        "args", [["bogus"], ["seed"], ["name", "Q"], ["fa"]]
+    )
+    def test_bad_template_is_input_error(self, cli, args):
+        with pytest.raises(InputError):
+            cli._template_fa(args, cli.session.clustering.representatives)
+        cli.run_line("refine " + " ".join(args))
         assert "error:" in output_of(cli)
 
 

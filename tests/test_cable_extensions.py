@@ -8,6 +8,7 @@ from repro.cable.session import CableSession
 from repro.core.trace_clustering import cluster_traces, extend_clustering
 from repro.fa.templates import seed_order_fa, unordered_fa
 from repro.lang.traces import parse_trace
+from repro.robustness.errors import InputError
 
 
 @pytest.fixture
@@ -123,7 +124,7 @@ class TestRefinement:
 
     def test_rejecting_refinement_fa_is_error(self, session):
         narrow = unordered_fa(["fopen(X)"])  # rejects popen traces
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             refine_clustering(session.clustering, narrow)
 
     def test_refined_reference_fa_consistent_with_rows(self, session):

@@ -4,8 +4,8 @@ import io
 
 import pytest
 
-from repro.cable.cli import CableCLI, _parse_selection, build_session, main
-from repro.cable.session import CableSession, SelectionError
+from repro.cable.cli import CableCLI, build_session, main
+from repro.cable.session import CableSession, SelectionError, parse_selection
 from repro.cable.views import lattice_to_dot, render_lattice
 from repro.core.trace_clustering import cluster_traces
 
@@ -48,14 +48,14 @@ class TestRendering:
 
 class TestSelectionParsing:
     def test_defaults(self):
-        assert _parse_selection(None) == "all"
-        assert _parse_selection("all") == "all"
-        assert _parse_selection("unlabeled") == "unlabeled"
-        assert _parse_selection("=good") == ("label", "good")
+        assert parse_selection(None) == "all"
+        assert parse_selection("all") == "all"
+        assert parse_selection("unlabeled") == "unlabeled"
+        assert parse_selection("=good") == ("label", "good")
 
     def test_garbage(self):
         with pytest.raises(SelectionError):
-            _parse_selection("meh")
+            parse_selection("meh")
 
 
 class TestCLI:

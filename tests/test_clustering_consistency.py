@@ -2,9 +2,10 @@
 
 Three bugs rode the old double-evaluation idiom and die with it:
 
-1. ``cluster_traces`` named attributes ``a<j>: <transition>`` while
-   ``build_trace_context`` used ``str(transition)`` with ``#n`` dedup
-   suffixes — two incompatible attribute universes for the same FA;
+1. ``cluster_traces`` named attributes ``a<j>: <transition>`` while a
+   second context builder used ``str(transition)`` with ``#n`` dedup
+   suffixes — two incompatible attribute universes for the same FA
+   (``cluster_traces`` and ``extend_clustering`` now share one body);
 2. ``cluster_traces`` named objects by *pool* index even though rows are
    compacted over the accepted subset, so names drifted past rejections;
 3. ``extend_clustering`` re-evaluated and re-appended already-rejected
@@ -13,11 +14,11 @@ Three bugs rode the old double-evaluation idiom and die with it:
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.core.trace_clustering import (
     TraceClustering,
-    build_trace_context,
     cluster_traces,
     extend_clustering,
     trace_object_names,
@@ -41,12 +42,12 @@ class TestCanonicalAttributeUniverse:
     def test_cluster_and_build_agree(self):
         fa = _fa()
         ts = [parse_trace("open(x); close(x)"), parse_trace("read(x)")]
-        clustering = cluster_traces(ts, fa)
-        context, rejected = build_trace_context(ts, fa)
-        assert rejected == []
+        clustering = cluster_traces(ts[:1], fa)
+        extended = extend_clustering(clustering, ts[1:])
+        assert extended.rejected == ()
         assert (
             clustering.lattice.context.attributes
-            == context.attributes
+            == extended.lattice.context.attributes
             == tuple(transition_attribute_names(fa))
         )
 
@@ -58,14 +59,17 @@ class TestCanonicalAttributeUniverse:
         assert len(names) == len(set(names)) == 2
 
     def test_contexts_from_both_paths_interchange(self):
-        # The practical consequence: a context built by one path can be
-        # compared attribute-for-attribute with the other's.
+        # The practical consequence: a context extended by one path is
+        # the context the other builds, row for row and name for name.
         fa = _fa()
-        ts = [parse_trace("open(x); read(x); close(x)")]
-        clustering = cluster_traces(ts, fa)
-        context, _ = build_trace_context(ts, fa)
-        assert clustering.lattice.context.rows == context.rows
-        assert clustering.lattice.context.objects == context.objects
+        ts = [
+            parse_trace("open(x); read(x); close(x)"),
+            parse_trace("open(x)", trace_id="named"),
+        ]
+        fresh = cluster_traces(ts, fa)
+        extended = extend_clustering(cluster_traces(ts[:1], fa), ts[1:])
+        assert extended.lattice.context.rows == fresh.lattice.context.rows
+        assert extended.lattice.context.objects == fresh.lattice.context.objects
 
 
 class TestCompactedObjectNames:
@@ -220,3 +224,48 @@ class TestExtendClustering:
         )
         with pytest.raises(ClusteringError):
             extend_clustering(doctored, [parse_trace("close(x)")])
+
+
+_ALPHABET = ("open", "read", "write", "close", "seek")
+
+
+def _corpus(prefix: str):
+    """Traces over ``_ALPHABET``; the reference FA below has no ``seek``,
+    so some are rejected, and a corpus rarely uses every transition, so
+    the lattice's bottom usually grows past every row."""
+    return st.lists(
+        st.lists(st.sampled_from(_ALPHABET), min_size=1, max_size=4),
+        max_size=6,
+    ).map(
+        lambda corpus: [
+            parse_trace("; ".join(f"{s}(x)" for s in symbols), trace_id=f"{prefix}{i}")
+            for i, symbols in enumerate(corpus)
+        ]
+    )
+
+
+def _by_id(clustering: TraceClustering) -> tuple:
+    lattice = clustering.lattice
+    return (
+        lattice.extent_masks,
+        lattice.intent_masks,
+        lattice.parents,
+        lattice.children,
+        lattice.context.rows,
+        lattice.context.objects,
+    )
+
+
+class TestExtendEqualsRebuild:
+    """Extending a clustering equals clustering all its traces at once,
+    concept for concept: the same ids, masks, covers, rows and names."""
+
+    @given(_corpus("a"), _corpus("b"), _corpus("c"))
+    @settings(max_examples=300, deadline=None)
+    def test_extend_twice_equals_cluster_once(self, first, second, third):
+        fa = unordered_fa(["open(X)", "read(X)", "write(X)", "close(X)"])
+        extended = extend_clustering(
+            extend_clustering(cluster_traces(first, fa), second), third
+        )
+        assert _by_id(extended) == _by_id(cluster_traces(first + second + third, fa))
+        extended.lattice.validate()

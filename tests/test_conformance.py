@@ -662,15 +662,13 @@ class TestSeededMutations:
         assert "CC001@code:_rebind_reference" in fps
 
     def test_dropped_budget_forward_trips_cc004(self, real_tree):
-        # CC010's never-forwarded case (formerly CC004).
-        # extend_clustering never reads ``budget`` locally — it only
-        # forwards it — so dropping the relation_map forward is a pure
-        # plumbing break (cluster_traces, by contrast, tests ``budget
-        # is not None`` and is exempt under the local-consumption rule).
+        # CC010 (formerly CC004): the clustering body never reads
+        # ``budget`` locally — it only forwards it — so dropping the
+        # relation_map forward is a pure plumbing break.
         name = "repro.core.trace_clustering"
         original = real_tree.modules[name].source
         forwarded = (
-            "            [group[0] for group in candidates.values()],\n"
+            "            [classes.representatives[c] for c in candidates],\n"
             "            jobs=jobs,\n"
             "            budget=budget,\n"
         )
@@ -679,7 +677,7 @@ class TestSeededMutations:
             name,
             original.replace(
                 forwarded,
-                "            [group[0] for group in candidates.values()],\n"
+                "            [classes.representatives[c] for c in candidates],\n"
                 "            jobs=jobs,\n",
             ),
         )

@@ -528,13 +528,16 @@ class TestSeededMutations:
     def test_branch_dropped_budget_trips_cc010(self, real_tree):
         name = "repro.core.trace_clustering"
         original = real_tree.modules[name].source
-        dispatch = "        lattice = build(context)"
-        assert dispatch in original, "anchor for the seeded mutation moved"
-        assert "build_lattice_godin(context, budget=budget)" in original
+        # The branch that keeps an unchanged lattice, planted with a
+        # rebuild that forgets the budget the other branch passes on.
+        reuse = "        lattice = prior.lattice\n"
+        assert reuse in original, "anchor for the seeded mutation moved"
+        assert "            budget=budget,\n            resume_from=" in original
         mutated = real_tree.with_module_source(
             name,
             original.replace(
-                dispatch, "        lattice = build_lattice_godin(context)"
+                reuse,
+                "        lattice = build_lattice_godin(prior.lattice.context)\n",
             ),
         )
         fps = _module_findings(

@@ -10,7 +10,7 @@ from repro.core.context import FormalContext, set_of
 from repro.core.godin import GodinLatticeBuilder, build_lattice_godin
 from repro.core.nextclosure import build_lattice_nextclosure
 from repro.core.trace_clustering import cluster_traces
-from repro.robustness.errors import LookupInputError
+from repro.robustness.errors import InputError, LookupInputError
 
 
 @pytest.fixture
@@ -207,13 +207,14 @@ def build_from_concepts(ctx: FormalContext) -> ConceptLattice:
     return ConceptLattice.from_concepts(ctx, reversed(build_lattice_godin(ctx).concepts))
 
 
-def lattice_shape(lattice: ConceptLattice) -> tuple[set, set]:
-    """The concepts as (extent, intent) mask pairs and the cover edges as
-    (extent, parent extent) pairs: the lattice without its concept ids."""
-    extents = lattice.extent_masks
-    concepts = set(zip(extents, lattice.intent_masks))
-    covers = {(extents[c], extents[p]) for c in lattice for p in lattice.parents[c]}
-    return concepts, covers
+def lattice_by_id(lattice: ConceptLattice) -> tuple:
+    """Every concept's extent and intent masks and covers, by concept id."""
+    return (
+        lattice.extent_masks,
+        lattice.intent_masks,
+        lattice.parents,
+        lattice.children,
+    )
 
 
 class TestMaskRepresentation:
@@ -247,8 +248,28 @@ class TestMaskRepresentation:
         for obj in range(k, ctx.num_objects):
             builder.add_object(obj, ctx.rows[obj])
         grown = builder.build(ctx)
-        assert lattice_shape(grown) == lattice_shape(build_lattice_godin(ctx))
+        assert lattice_by_id(grown) == lattice_by_id(build_lattice_godin(ctx))
         grown.validate()
+
+    @pytest.mark.parametrize(
+        "build", [build_lattice_nextclosure, build_lattice_batch],
+        ids=["nextclosure", "batch"],
+    )
+    @given(ctx=contexts())
+    @settings(max_examples=60, deadline=None)
+    def test_from_lattice_of_another_construction(self, build, ctx):
+        # Another numbering can be resumed unless build() would have had
+        # to hang its empty bottom last; it never yields a broken lattice.
+        try:
+            builder = GodinLatticeBuilder.from_lattice(build(ctx))
+        except InputError:
+            return
+        grown = builder.build(ctx)
+        grown.validate()
+        fresh = build_lattice_godin(ctx)
+        assert set(zip(grown.extent_masks, grown.intent_masks)) == set(
+            zip(fresh.extent_masks, fresh.intent_masks)
+        )
 
     def test_cluster_traces_makes_no_concepts(self, bulk_corpus, monkeypatch):
         made = []

@@ -1,6 +1,6 @@
 """Clustering traces against a reference FA (Section 3.2)."""
 
-from repro.core.trace_clustering import build_trace_context, cluster_traces
+from repro.core.trace_clustering import cluster_traces
 from repro.fa.templates import unordered_fa
 from repro.lang.traces import parse_trace
 
@@ -9,19 +9,21 @@ class TestContextConstruction:
     def test_objects_are_traces_attributes_are_transitions(
         self, stdio_traces, stdio_reference
     ):
-        context, rejected = build_trace_context(stdio_traces, stdio_reference)
+        clustering = cluster_traces(stdio_traces, stdio_reference)
+        context = clustering.lattice.context
         assert context.num_objects == len(stdio_traces)
         assert context.num_attributes == stdio_reference.num_transitions
-        assert rejected == []
+        assert clustering.rejected == ()
 
     def test_rows_are_executed_transitions(self, stdio_traces, stdio_reference):
-        context, _ = build_trace_context(stdio_traces, stdio_reference)
-        for o, trace in enumerate(stdio_traces):
+        clustering = cluster_traces(stdio_traces, stdio_reference)
+        context = clustering.lattice.context
+        for o, trace in enumerate(clustering.representatives):
             assert context.rows[o] == stdio_reference.executed_transitions(trace)
 
     def test_rejected_traces_reported(self, stdio_reference):
         traces = [parse_trace("fopen(f); fclose(f)"), parse_trace("mystery(z)")]
-        _, rejected = build_trace_context(traces, stdio_reference)
+        rejected = cluster_traces(traces, stdio_reference).rejected
         assert len(rejected) == 1
         assert rejected[0].symbols == ("mystery",)
 
@@ -34,11 +36,6 @@ class TestClusterTraces:
         assert clustering.num_objects == 2
         assert clustering.class_counts == (5, 1)
         assert len(clustering.class_members[0]) == 5
-
-    def test_no_dedup(self, stdio_reference):
-        traces = [parse_trace("fopen(f); fclose(f)") for _ in range(3)]
-        clustering = cluster_traces(traces, stdio_reference, dedup=False)
-        assert clustering.num_objects == 3
 
     def test_lattice_covers_all_classes(self, stdio_traces, stdio_reference):
         clustering = cluster_traces(stdio_traces, stdio_reference)
@@ -73,17 +70,6 @@ class TestClusterTraces:
         assert clustering.traces_of([0]) == [clustering.representatives[0]]
         names = clustering.transitions_of([0])
         assert len(names) == 1 and "-->" in names[0]
-
-    def test_alternative_builder(self, stdio_traces, stdio_reference):
-        from repro.core.batch import build_lattice_batch
-
-        via_batch = cluster_traces(
-            stdio_traces, stdio_reference, build=build_lattice_batch
-        )
-        via_godin = cluster_traces(stdio_traces, stdio_reference)
-        assert {c.extent for c in via_batch.lattice.concepts} == {
-            c.extent for c in via_godin.lattice.concepts
-        }
 
     def test_unordered_reference_merges_order_variants(self):
         fa = unordered_fa(["a(X)", "b(X)", "c(X)"])

@@ -106,10 +106,13 @@ class TestRankedStrategy:
         assert first_with_leak < first_pure_bulk
 
     def test_stuck_on_non_well_formed(self, stdio_reference):
+        # Two distinct traces that execute the same transitions: their
+        # objects have identical rows, so no concept separates them.
         traces = [
             parse_trace("fopen(X); fread(X); fclose(X)", trace_id="a"),
-            parse_trace("fopen(X); fread(X); fclose(X)", trace_id="b"),
+            parse_trace("fopen(X); fread(X); fread(X); fclose(X)", trace_id="b"),
         ]
-        clustering = cluster_traces(traces, stdio_reference, dedup=False)
+        clustering = cluster_traces(traces, stdio_reference)
+        assert clustering.num_objects == 2
         with pytest.raises(StuckError):
             ranked_strategy(clustering, {0: "good", 1: "bad"})

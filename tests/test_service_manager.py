@@ -518,6 +518,48 @@ class TestAddTracesThenResume:
         assert manager.run("a", rejected) == before
 
 
+    def test_resume_keeps_concept_numbering(self, manager, tmp_path):
+        # The second batch hangs a populated concept above the lattice's
+        # empty bottom; a rebuild on resume must number it as the live
+        # session did, or the label log names other extents.
+        from repro.fa.serialization import fa_to_text
+        from repro.fa.templates import unordered_fa
+        from repro.service.api import SessionService
+
+        service = SessionService(manager)
+        fa = unordered_fa(["open(X)", "read(X)", "write(X)", "close(X)"])
+        service.create({
+            "traces": ["close(F); read(F)", "close(F)"],
+            "fa": fa_to_text(fa),
+            "session": "a",
+        })
+        for batch in (
+            ["read(F); write(F); close(F)", "open(F); close(F); read(F)"],
+            ["close(F)", "close(F); open(F); read(F)"],
+        ):
+            service.handle_verb("a", "addtraces", {"traces": batch})
+        concepts = service.handle_verb("a", "lattice", {})["concepts"]
+        populated = [entry["concept"] for entry in concepts if entry["extent"]]
+        for i, c in enumerate(populated):
+            label = ("good", "bad")[i % 2]
+            service.handle_verb("a", "label", {"concept": c, "label": label, "which": "all"})
+
+        def acts(record):
+            masks = record.session.lattice.extent_masks
+            return [(masks[c], label) for c, label in record.session.label_log]
+
+        live = service.handle_verb("a", "lattice", {})
+        logged = manager.run("a", acts)
+        assert logged
+        saved = service.handle_verb("a", "save", {"path": str(tmp_path / "a.json")})
+        assert service.handle_verb("a", "suspend", {})["suspended"]
+        assert service.handle_verb("a", "lattice", {}) == live
+        assert manager.run("a", acts) == logged
+        service.attach({"path": saved["saved"], "session": "b"})
+        assert service.handle_verb("b", "lattice", {}) == live
+        assert manager.run("b", acts) == logged
+
+
 def test_serve_verbs_build_no_concepts(manager):
     """The serve path reads extent and intent masks: ``lattice``,
     ``inspect``, ``transitions``, ``label`` and ``state`` leave the
