@@ -5,13 +5,17 @@ O(2^{2k}·|O|) bound).  This ablation compares it against NextClosure and
 the batch intersection closure on the evaluation's real contexts: same
 lattices, different costs — the incremental algorithm's advantage grows
 with context size because it never re-derives existing concepts.
+
+The committed table holds the sizes, which every run reproduces; the
+build times go to the terminal summary and
+``BENCH_ablation_lattice_algorithms.json``.
 """
 
 import time
 
 import pytest
 
-from benchmarks.conftest import report
+from benchmarks.conftest import report, show, write_bench
 from repro.core.batch import build_lattice_batch
 from repro.core.godin import build_lattice_godin
 from repro.core.nextclosure import build_lattice_nextclosure
@@ -60,11 +64,28 @@ def test_ablation_lattice_algorithms(benchmark):
 
     rows = benchmark.pedantic(build_rows, rounds=1, iterations=1)
     text = format_table(
-        ["spec", "|O|", "|A|", "concepts", "godin ms", "nextclosure ms", "batch ms"],
-        rows,
+        ["spec", "|O|", "|A|", "concepts"],
+        [row[:4] for row in rows],
         title="Ablation A1: lattice construction algorithms (identical lattices)",
     )
     report("ablation_a1_lattice_algorithms", text)
+    show(
+        "ablation_a1_build_ms",
+        format_table(
+            ["spec", "godin ms", "nextclosure ms", "batch ms"],
+            [[row[0], *row[4:]] for row in rows],
+            title="Ablation A1: build times (this run, not committed)",
+        ),
+    )
+    write_bench(
+        "ablation_lattice_algorithms",
+        {
+            "build_ms": {
+                row[0]: dict(zip(("godin", "nextclosure", "batch"), row[4:]))
+                for row in rows
+            }
+        },
+    )
 
 
 @pytest.mark.parametrize("algo_name,algo", ALGORITHMS, ids=[a for a, _ in ALGORITHMS])

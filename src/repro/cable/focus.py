@@ -115,11 +115,11 @@ class FocusSession(CableSession):
             o for o in parent_objects if o not in clustered
         )
         # Carry existing parent labels into the sub-session so PartlyLabeled
-        # state is visible while focused.
-        for local, parent_obj in enumerate(self._to_parent):
-            label = parent.labels.label_of(parent_obj)
-            if label is not None:
-                self.labels.assign([local], label)
+        # state is visible while focused (not as acts to undo there).
+        self.labels.restore(
+            (local, parent.labels.label_of(parent_obj))
+            for local, parent_obj in enumerate(self._to_parent)
+        )
 
     def end(self) -> int:
         """Close the sub-session, merging labels back into the parent.

@@ -68,6 +68,13 @@ class LabelStore:
         self._history.append(undo)
         return len(undo)
 
+    def restore(self, labels: Iterable[tuple[int, str | None]]) -> None:
+        """Set ``(object, label)`` pairs (``None`` = unlabeled) as saved
+        state, leaving no undo entry: loading labels is not an act the
+        user can take back."""
+        for o, label in labels:
+            self._set(o, label)
+
     def clear(self, objects: Iterable[int]) -> int:
         """Remove labels from ``objects``; returns how many changed."""
         undo: list[tuple[int, str | None]] = []

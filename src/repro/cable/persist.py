@@ -264,10 +264,10 @@ def session_from_dict(data: dict, path: str | None = None) -> CableSession:
             ]
         )
     session.traces_added = stored
-    for o, rep in enumerate(session.clustering.representatives):
-        label = labels_by_key.get(rep.key())
-        if label is not None:
-            session.labels.assign([o], label)
+    session.labels.restore(
+        (o, labels_by_key.get(rep.key()))
+        for o, rep in enumerate(session.clustering.representatives)
+    )
     session.ops.inspections = data["operations"]["inspections"]
     session.ops.labelings = data["operations"]["labelings"]
     # Older documents predate the act log; they restore with an empty one.

@@ -35,7 +35,11 @@ ICFCA 2004):
    under it in turn.
 
 An insertion so touches the closures it finds and their parents, not
-the whole lattice.
+the whole lattice.  A row that is already the intent of a populated
+concept skips both phases: every meet is then an intent already, so
+the object only joins that concept and the concepts above it.  Rows
+repeat often in clustering contexts, where distinct traces execute
+the same transitions (about half the rows of a RegionsBig session).
 
 Intents and extents are held as **int bitmasks** throughout (see
 :class:`~repro.core.context.BitContext`): the subset tests, meets, and
@@ -121,6 +125,9 @@ class GodinLatticeBuilder:
         self._bottom: int | None = None
         self._all_attrs: int = 0
         self._num_objects = 0
+        #: Intent -> id of every concept with a non-empty extent (such an
+        #: intent never changes), so a repeated row finds its concept.
+        self._populated: dict[int, int] = {}
         self._budget = budget if budget and not budget.unlimited else None
         self._clock = clock
         self._meter: BudgetMeter | None = None
@@ -188,6 +195,7 @@ class GodinLatticeBuilder:
         builder._bottom = bottom
         builder._all_attrs = seen
         builder._num_objects = context.num_objects
+        builder._index_populated()
         return builder
 
     @classmethod
@@ -210,8 +218,16 @@ class GodinLatticeBuilder:
             None,
         )
         builder._num_objects = checkpoint.num_objects
+        builder._index_populated()
         obs.inc("godin.resumes")
         return builder
+
+    def _index_populated(self) -> None:
+        self._populated = {
+            intent: c
+            for c, (extent, intent) in enumerate(zip(self._extents, self._intents))
+            if extent
+        }
 
     def snapshot(self) -> LatticeCheckpoint:
         """A consistent, immutable copy of the current partial lattice."""
@@ -354,6 +370,24 @@ class GodinLatticeBuilder:
         if not self._intents:
             self._all_attrs = row
             self._bottom = self._new_concept(obj_bit, row)
+            self._populated[row] = self._bottom
+            return
+
+        extents = self._extents
+        parents = self._parents
+        known = self._populated.get(row)
+        if known is not None:
+            # The row is already a populated concept's intent.  Intents are
+            # closed under ∩, so every meet below is an intent already: no
+            # concept is new, no cover changes, and the object joins the
+            # extents of that concept and everything above it.
+            extents[known] |= obj_bit
+            climb = [known]
+            while climb:
+                for p in parents[climb.pop()]:
+                    if not extents[p] & obj_bit:
+                        extents[p] |= obj_bit
+                        climb.append(p)
             return
 
         if row & ~self._all_attrs:
@@ -362,8 +396,6 @@ class GodinLatticeBuilder:
             self._grow_bottom(self._all_attrs | row)
 
         intents = self._intents
-        extents = self._extents
-        parents = self._parents
         # Phase 1, on the old lattice: every distinct meet ``intent ∩ row``
         # with its closure, the smallest-intent concept whose intent
         # contains it.  Climbing from a concept whose meet is ``meet`` to
@@ -426,6 +458,7 @@ class GodinLatticeBuilder:
                 if u in old_parents:
                     self._unlink(g, u)
             self._link(g, new)
+        self._populated.update(updated)
 
     # ------------------------------------------------------------------ #
     # result

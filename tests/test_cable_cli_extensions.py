@@ -124,6 +124,28 @@ class TestSessionPersistence:
         captured = capsys.readouterr()
         assert "unlabeled" in captured.out
 
+    def test_loaded_session_has_nothing_to_undo(
+        self, cli, tmp_path, monkeypatch, capsys
+    ):
+        # Restoring saved labels is not an act the user can undo: each
+        # class's label used to come back as its own undo entry.
+        from repro.cable.persist import load_session
+
+        path = tmp_path / "session.json"
+        for o in range(cli.session.clustering.num_objects):
+            cli.run_line(f"label {cli.session.lattice.object_concept(o)} good")
+        cli.run_line(f"savesession {path}")
+        restored = load_session(path)
+        assert restored.done()
+        before = restored.labels.as_dict(), restored.labels.unlabeled_mask
+        assert not restored.labels.undo()
+        assert (restored.labels.as_dict(), restored.labels.unlabeled_mask) == before
+        monkeypatch.setattr("sys.stdin", io.StringIO("undo\nstate\nquit\n"))
+        assert main(["--session", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "nothing to undo" in out
+        assert "undone" not in out
+
     def test_main_json_banner(self, cli, tmp_path, monkeypatch, capsys):
         import json
 

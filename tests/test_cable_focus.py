@@ -40,6 +40,16 @@ class TestFocus:
         ]
         assert carried.count("good") == 1
 
+    def test_carried_labels_are_not_undoable(self, session):
+        # Carrying the parent's labels in is not an act of the focused
+        # session: its undo has nothing to take back.
+        top = session.lattice.top
+        session.labels.assign([0, 1], "good")
+        focused = session.focus(top, focus_fa(session, top))
+        before = focused.labels.as_dict(), focused.labels.unlabeled_mask
+        assert not focused.labels.undo()
+        assert (focused.labels.as_dict(), focused.labels.unlabeled_mask) == before
+
     def test_end_merges_labels_back(self, session):
         top = session.lattice.top
         focused = session.focus(top, focus_fa(session, top))

@@ -15,7 +15,8 @@ fresh build of every row), for a resume from the checkpoint of a
 (the bottom-growth path).  Small dense contexts exercise deep climbs and
 modified concepts; sparse bulk-shaped ones (a few attributes per row,
 most rows new) give the bottom a high fan-in, as clustering a corpus
-does.
+does; contexts drawn from a pool of a few rows repeat most of them, as
+a Cable session's context does, and take the repeated-row join.
 """
 
 from __future__ import annotations
@@ -197,6 +198,27 @@ def sparse_contexts(draw) -> FormalContext:
     )
 
 
+@st.composite
+def repeated_contexts(draw) -> FormalContext:
+    """Contexts whose rows come from a pool of at most six, so most rows
+    repeat an earlier one (as distinct traces executing the same
+    transitions do) and take the builder's repeated-row path."""
+    num_attrs = draw(st.integers(1, 8))
+    pool = draw(
+        st.lists(
+            st.frozensets(st.integers(0, num_attrs - 1), max_size=num_attrs),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    return FormalContext(
+        [f"o{i}" for i in range(len(rows))],
+        [f"a{j}" for j in range(num_attrs)],
+        rows,
+    )
+
+
 def prefix_context(context: FormalContext, k: int) -> FormalContext:
     return FormalContext(context.objects[:k], context.attributes, context.rows[:k])
 
@@ -289,6 +311,49 @@ class TestGodinMatchesSortedInsertOnSparseContexts:
     def test_resume_after_budget_exceeded(self, context, data):
         limit = data.draw(st.integers(0, context.num_objects - 1))
         check_resume_after_budget_exceeded(context, limit)
+
+
+class TestGodinMatchesSortedInsertOnRepeatedRows:
+    @given(repeated_contexts())
+    @settings(max_examples=200, deadline=None)
+    def test_plain_build(self, context):
+        check_plain_build(context)
+
+    @given(repeated_contexts(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_from_lattice_then_add_object(self, context, data):
+        k = data.draw(st.integers(0, context.num_objects))
+        check_from_lattice_then_add_object(context, k)
+
+    @given(repeated_contexts(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_resume_after_budget_exceeded(self, context, data):
+        limit = data.draw(st.integers(0, context.num_objects - 1))
+        check_resume_after_budget_exceeded(context, limit)
+
+
+    @given(repeated_contexts(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_resumed_builders_index_every_populated_concept(self, context, data):
+        # The repeated-row join finds its concept by intent, so a builder
+        # resumed from a lattice or a checkpoint must know every
+        # populated concept, and only those.
+        k = data.draw(st.integers(0, context.num_objects - 1))
+        with pytest.raises(BudgetExceeded) as exc:
+            build_lattice_godin(context, budget=Budget(max_objects=k))
+        for builder in (
+            GodinLatticeBuilder.from_lattice(
+                build_lattice_godin(prefix_context(context, k))
+            ),
+            GodinLatticeBuilder.from_checkpoint(exc.value.checkpoint),
+        ):
+            assert builder._populated == {
+                intent: c
+                for c, (extent, intent) in enumerate(
+                    zip(builder._extents, builder._intents)
+                )
+                if extent
+            }
 
 
 @pytest.mark.parametrize("spec", SPEC_CATALOG, ids=lambda spec: spec.name)

@@ -116,3 +116,114 @@ class TestOneSweepRelation:
         }
         assert fa.relation(trace) == RelationResult(True, frozenset({0}))
         check_against_reference(fa, trace, 10)
+
+
+def rebuilt(fa: FA) -> FA:
+    """A fresh FA with ``fa``'s current attributes: no memo, fresh index."""
+    return FA(fa.states, fa.initial, fa.accepting, fa.transitions)
+
+
+class TestStepMemo:
+    """``_forward_layers`` matches each distinct step once per FA; the
+    memo must never outlive the language it was built for."""
+
+    @given(nfas(data=True), nfas(data=True), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_reassignment_drops_the_memo(self, fa, other, data):
+        traces = data.draw(st.lists(traces_with_data, min_size=1, max_size=4))
+        traces += data.draw(st.lists(walked_traces(fa), min_size=1, max_size=4))
+        for trace in traces:
+            fa.relation(trace)  # fill the memo under the old language
+        attr = data.draw(st.sampled_from(["transitions", "initial", "accepting"]))
+        if attr == "transitions":
+            # Keep only transitions between states this FA has.
+            fa.transitions = tuple(
+                t for t in other.transitions
+                if t.src in fa.states and t.dst in fa.states
+            ) + fa.transitions[: data.draw(st.integers(0, len(fa.transitions)))]
+        else:
+            chosen = data.draw(st.sets(st.sampled_from(fa.states)))
+            setattr(fa, attr, frozenset(chosen))
+        fresh = rebuilt(fa)
+        for trace in traces:
+            expected = ref_relation(fresh, trace)
+            assert fa.relation(trace) == expected
+            assert fa.accepts(trace) == expected.accepted
+
+    def test_memo_stays_under_its_bound(self, monkeypatch):
+        import repro.fa.automaton as automaton
+
+        monkeypatch.setattr(automaton, "STEP_MEMO_SIZE", 16)
+        fa = FA.from_edges([("q", "a(X)", "q")], initial=["q"], accepting=["q"])
+        # Every event names a new object, so each step is a new one:
+        # 200 distinct steps against a bound of 16.
+        traces = [
+            Trace(tuple(Event("a", (f"o{i}_{j}",)) for j in range(4)))
+            for i in range(50)
+        ]
+        fresh = rebuilt(fa)
+        for trace in traces:
+            assert fa.relation(trace) == ref_relation(fresh, trace)
+            assert len(fa._steps) <= 16
+
+    def test_pickled_fa_carries_no_memo(self):
+        import pickle
+
+        fa = FA.from_edges(
+            [("q0", "a(X)", "q1"), ("q1", "b(X)", "q1")],
+            initial=["q0"],
+            accepting=["q1"],
+        )
+        trace = Trace((Event("a", ("1",)), Event("b", ("1",))))
+        assert fa.relation(trace).accepted
+        assert fa._steps
+        payload = pickle.dumps(fa)
+        assert pickle.dumps(rebuilt(fa)) == payload
+        copy = pickle.loads(payload)
+        assert copy._steps == {}
+        assert copy.version == fa.version
+        assert copy.relation(trace) == fa.relation(trace)
+
+    def test_threads_sharing_an_fa_agree(self, monkeypatch):
+        # Threads share one FA's memo; with a tiny bound they clear it
+        # under each other's feet, and every row must still be right.
+        import sys
+        import threading
+
+        import repro.fa.automaton as automaton
+
+        monkeypatch.setattr(automaton, "STEP_MEMO_SIZE", 8)
+        fa = FA.from_edges(
+            [("q0", "a(X)", "q1"), ("q1", "b(X)", "q1"), ("q1", "c(X,Y)", "q0")],
+            initial=["q0"],
+            accepting=["q1"],
+        )
+        traces = [
+            Trace(
+                (
+                    Event("a", (f"x{i % 7}",)),
+                    Event("b", (f"x{i % 7}",)),
+                    Event("c", (f"x{i % 7}", f"y{i % 5}")),
+                    Event("a", (f"x{i % 3}",)),
+                )
+            )
+            for i in range(60)
+        ]
+        expected = [ref_relation(rebuilt(fa), t) for t in traces]
+        results: dict[int, list] = {}
+
+        def sweep(worker: int) -> None:
+            results[worker] = [fa.relation(t) for t in traces * 5]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sweep, args=(w,)) for w in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {w: expected * 5 for w in range(6)}
