@@ -125,15 +125,18 @@ class FocusSession(CableSession):
         """Close the sub-session, merging labels back into the parent.
 
         Returns the number of parent trace classes whose label changed.
-        The sub-session's operation counts are added to the parent's (a
-        focused inspection is still an inspection the user performed).
+        The merge is one act in the parent's history, so one ``undo``
+        there takes all of it back.  The sub-session's operation counts
+        are added to the parent's (a focused inspection is still an
+        inspection the user performed).
         """
-        changed = 0
+        merged: dict[int, str] = {}
         for local, parent_obj in enumerate(self._to_parent):
             label = self.labels.label_of(local)
             if label is not None and self.parent.labels.label_of(parent_obj) != label:
-                self.parent.labels.assign([parent_obj], label)
-                changed += 1
+                merged[parent_obj] = label
+        if merged:
+            self.parent.labels.assign_each(merged)
         self.parent.ops.inspections += self.ops.inspections
         self.parent.ops.labelings += self.ops.labelings
-        return changed
+        return len(merged)

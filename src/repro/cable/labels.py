@@ -12,7 +12,7 @@ than one label* — relabeling replaces — and keeps an undo history.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 
 from repro.core.context import set_of
 
@@ -60,8 +60,16 @@ class LabelStore:
         existing label); returns how many objects changed."""
         if not label:
             raise ValueError("empty label")
+        return self.assign_each(dict.fromkeys(objects, label))
+
+    def assign_each(self, labels: Mapping[int, str]) -> int:
+        """Give each object of ``labels`` its label (replacing any
+        existing one) as one act, which one :meth:`undo` takes back;
+        returns how many objects changed."""
+        if not all(labels.values()):
+            raise ValueError("empty label")
         undo: list[tuple[int, str | None]] = []
-        for o in objects:
+        for o, label in labels.items():
             if self._labels[o] != label:
                 undo.append((o, self._labels[o]))
                 self._set(o, label)

@@ -49,16 +49,6 @@ class StrategyOutcome:
         return self.inspections + self.labelings
 
 
-def masks_by_label(reference: Mapping[int, str], num_objects: int) -> dict[str, int]:
-    """Objects ``0 .. num_objects - 1`` grouped by reference label, as
-    one int mask per label."""
-    masks: dict[str, int] = {}
-    for o in range(num_objects):
-        label = reference[o]
-        masks[label] = masks.get(label, 0) | (1 << o)
-    return masks
-
-
 class LabelMasks:
     """A reference labeling checked against one lattice, as int masks.
 
@@ -76,9 +66,14 @@ class LabelMasks:
         missing = [o for o in range(num_objects) if o not in reference]
         if missing:
             raise ValueError(f"reference labeling is partial; missing objects {missing}")
+        # Objects grouped by reference label, one int mask per label.
+        by_label: dict[str, int] = {}
+        for o in range(num_objects):
+            label = reference[o]
+            by_label[label] = by_label.get(label, 0) | (1 << o)
         self.reference = reference
         self.extents = lattice.extent_masks
-        self.label_masks = tuple(masks_by_label(reference, num_objects).items())
+        self.label_masks = tuple(by_label.items())
         self.all_objects = (1 << num_objects) - 1
 
     @classmethod

@@ -16,30 +16,51 @@ paper reports that its own optimal-cost program "took too long to run"
 for the four largest specifications — so a state budget caps the search
 and ``None`` is returned on blow-up, which benchmarks display as the
 paper's missing entries.
+
+The moves out of a state are found without testing every concept
+against every label.  A *pure* extent (all one reference label) is a
+move exactly when it holds an unlabeled object; one that holds none
+yields the state itself, which falls out with the states already seen,
+so every pure extent is OR-ed in untested.  A *mixed* extent is a move
+exactly when its unlabeled objects are nonempty and lie inside one
+label, that is, when for some label it meets, the rest of it is already
+labeled (again, if nothing of it is unlabeled the state itself falls
+out).  Each state's new successors go into the seen set and the next
+level in ascending order, one at a time, so the visited states, the
+level order and the point where the budget trips are those of a search
+that tests each successor in turn; growing the seen set one state at a
+time also keeps its memory to what that search allocates.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from repro.core.concepts import ConceptLattice
-from repro.strategies.base import StrategyOutcome, masks_by_label
+from repro.strategies.base import LabelMasks, Reference, StrategyOutcome
 
 
 def optimal_cost(
     lattice: ConceptLattice,
-    reference: Mapping[int, str],
+    reference: Reference,
     max_states: int = 200_000,
 ) -> int | None:
     """Minimum total operations, or ``None`` if the budget is exhausted or
     no order can complete the labeling (non-well-formed lattice)."""
-    num_objects = lattice.context.num_objects
-    all_objects = (1 << num_objects) - 1
-    extents = lattice.extent_masks
-    uniform = tuple(masks_by_label(reference, num_objects).values())
-
+    masks = LabelMasks.of(lattice, reference)
+    all_objects = masks.all_objects
     if not all_objects:
         return 0
+    label_masks = [mask for _, mask in masks.label_masks]
+    pure: list[int] = []
+    # A mixed extent once per label it meets, with the rest of it
+    # outside that label.
+    mixed: list[tuple[int, int]] = []
+    for extent in masks.extents:
+        rests = [(extent, extent & ~mask) for mask in label_masks if extent & mask]
+        if len(rests) == 1:
+            pure.append(extent)
+        else:
+            mixed += rests
+
     seen = {0}
     frontier = [0]
     moves = 0
@@ -47,34 +68,29 @@ def optimal_cost(
         moves += 1
         next_frontier: list[int] = []
         for state in frontier:
-            free = ~state
-            # A move labels a concept whose unlabeled objects are nonempty
-            # and all of one label: they miss every unlabeled object of
-            # the other labels.
-            successors = {
-                state | extent
-                for others in [free & ~mask for mask in uniform]
-                for extent in extents
-                if extent & free and not extent & others
-            }
+            successors = {state | extent for extent in pure}
+            successors.update([
+                state | extent for extent, rest in mixed if rest & state == rest
+            ])
             if all_objects in successors:
                 return 2 * moves
-            # Sorted, so the budget cutoff below never depends on set
-            # iteration order.
-            for new_state in sorted(successors):
-                if new_state in seen:
-                    continue
-                seen.add(new_state)
-                if len(seen) > max_states:
-                    return None
-                next_frontier.append(new_state)
+            new = successors - seen
+            # Adding the new states one by one would trip the budget
+            # at the first state past it.
+            if len(seen) + len(new) > max_states:
+                return None
+            # Ascending, so the cutoff never depends on set iteration
+            # order; a list grows the seen set one state at a time.
+            ordered = sorted(new)
+            seen.update(ordered)
+            next_frontier += ordered
         frontier = next_frontier
     return None
 
 
 def optimal_strategy(
     lattice: ConceptLattice,
-    reference: Mapping[int, str],
+    reference: Reference,
     max_states: int = 200_000,
 ) -> StrategyOutcome | None:
     """Like :func:`optimal_cost` but packaged as a strategy outcome."""

@@ -94,8 +94,7 @@ def evaluate_strategies(
     the four largest specifications".
     """
     lattice = clustering.lattice
-    # Checked and grouped by label once, for every run below but
-    # Optimal's search.
+    # Checked and grouped by label once, for every run below.
     masks = LabelMasks(lattice, reference)
 
     with obs.span("strategy.expert", spec=name):
@@ -127,7 +126,7 @@ def evaluate_strategies(
     else:
         with obs.span("strategy.optimal", spec=name):
             optimal = optimal_cost(
-                lattice, reference, max_states=optimal_max_states
+                lattice, masks, max_states=optimal_max_states
             )
 
     return StrategyTable(

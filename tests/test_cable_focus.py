@@ -58,6 +58,18 @@ class TestFocus:
         assert changed == session.clustering.num_objects
         assert session.done()
 
+    def test_end_is_one_undoable_act(self, session):
+        # The merge of every class is one act in the parent: one undo
+        # leaves every merged class unlabeled again.
+        session.labels.assign([0], "bad")
+        top = session.lattice.top
+        focused = session.focus(top, focus_fa(session, top))
+        focused.label_traces(focused.lattice.top, "good", "all")
+        assert focused.end() == session.clustering.num_objects
+        assert session.done()
+        assert session.labels.undo()
+        assert session.labels.as_dict() == {0: "bad"}
+
     def test_end_adds_operation_counts(self, session):
         top = session.lattice.top
         focused = session.focus(top, focus_fa(session, top))

@@ -67,6 +67,16 @@ class TestUndo:
         store.undo()
         assert store.label_of(0) == "good"
 
+    def test_undo_assign_each_is_one_act(self, store):
+        store.assign([0], "good")
+        assert store.assign_each({0: "bad", 1: "good", 3: "bad"}) == 3
+        assert store.undo()
+        assert store.as_dict() == {0: "good"}
+
+    def test_assign_each_rejects_an_empty_label(self, store):
+        with pytest.raises(ValueError):
+            store.assign_each({0: "good", 1: ""})
+
 
 class TestQueries:
     def test_unlabeled_in(self, store):

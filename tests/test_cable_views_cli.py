@@ -103,6 +103,15 @@ class TestCLI:
         assert len(cli.stack) == 1
         assert cli.session.done()
 
+    def test_one_undo_takes_back_an_endfocus(self, cli):
+        top = cli.session.lattice.top
+        cli.run_line(f"focus {top} unordered")
+        cli.run_line(f"label {cli.session.lattice.top} good all")
+        cli.run_line("endfocus")
+        assert cli.session.done()
+        cli.run_line("undo")
+        assert cli.session.labels.as_dict() == {}
+
     def test_focus_seed_template(self, cli):
         top = cli.session.lattice.top
         cli.run_line(f"focus {top} seed pclose(X)")

@@ -4,6 +4,8 @@ Every payload ends in a result or a :class:`ReproError` — the taxonomy
 the HTTP layer maps to a 4xx reply — never in a builtin exception.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -80,6 +82,49 @@ def test_focus_payloads_end_in_the_taxonomy(tmp_path):
         service.handle_verb("a", "endfocus", {})
 
     focus()
+
+
+#: The verbs that act on one concept of the session.
+CONCEPT_VERBS = ("label", "inspect", "fa", "transitions", "traces")
+
+
+@st.composite
+def concept_payloads(draw) -> dict:
+    """``concept``, ``which`` and ``label`` fields, mostly well-typed,
+    each sometimes missing or junk."""
+    payload = {}
+    if draw(st.integers(0, 9)):
+        payload["concept"] = draw(
+            st.integers(-8, 8) if draw(st.integers(0, 3)) else json_values
+        )
+    if draw(st.integers(0, 2)):
+        payload["which"] = draw(
+            st.sampled_from(["all", "unlabeled", "=good", "=bad", "=", "good"])
+            if draw(st.integers(0, 3))
+            else json_values
+        )
+    if draw(st.integers(0, 2)):
+        payload["label"] = draw(
+            st.sampled_from(["good", "bad"]) if draw(st.integers(0, 3)) else json_values
+        )
+    return payload
+
+
+def test_concept_verb_payloads_end_in_the_taxonomy(tmp_path):
+    service = SessionService(SessionManager(tmp_path / "store"))
+    service.create({"traces": TRACES, "session": "a"})
+
+    @given(st.sampled_from(CONCEPT_VERBS), concept_payloads())
+    @settings(max_examples=400, deadline=None)
+    def verb(name, payload):
+        try:
+            result = service.handle_verb("a", name, payload)
+        except ReproError:
+            return
+        # What the HTTP layer sends back.
+        json.dumps(result)
+
+    verb()
 
 
 def test_focus_template_errors_are_input_errors(tmp_path):

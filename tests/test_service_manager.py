@@ -280,6 +280,23 @@ class TestSessionStore:
         assert manager.info("a")["state"] == "active"
         assert manager.info("b")["state"] == "suspended"
 
+    def test_endfocus_verb_merge_is_one_undoable_act(self, manager):
+        from repro.service.api import SessionService
+
+        service = SessionService(manager)
+        manager.create(TRACES, session_id="a")
+        top = manager.run("a", lambda record: record.session.lattice.top)
+        service.handle_verb("a", "focus", {"concept": top})
+        focused_top = manager.run("a", lambda record: record.current.lattice.top)
+        service.handle_verb(
+            "a", "label", {"concept": focused_top, "label": "good", "which": "all"}
+        )
+        assert service.handle_verb("a", "endfocus", {})["merged"] == len(TRACES)
+        labels = manager.run("a", lambda record: record.session.labels)
+        assert labels.all_labeled()
+        assert labels.undo()
+        assert labels.as_dict() == {}
+
     def test_same_session_serializes(self, manager):
         manager.create(TRACES, session_id="a")
         state = {"in_critical": False, "violation": False, "busy": False}

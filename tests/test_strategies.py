@@ -62,6 +62,14 @@ class TestSimulator:
         with pytest.raises(ValueError):
             LabelingSimulator(lattice, {0: "good"})
 
+    def test_partial_reference_rejected_by_optimal(self, lattice):
+        # The same check as every other strategy, not a bare KeyError
+        # from regrouping the labels.
+        with pytest.raises(ValueError, match="partial"):
+            optimal_cost(lattice, {0: "good"})
+        with pytest.raises(ValueError, match="partial"):
+            optimal_strategy(lattice, {0: "good"})
+
     def test_reference_labeling_from_fa(self, stdio_traces, stdio_fixed, stdio_labels):
         derived = reference_labeling_from_fa(list(stdio_traces), stdio_fixed)
         assert derived == stdio_labels

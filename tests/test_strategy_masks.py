@@ -38,6 +38,8 @@ from repro.strategies.base import (
 )
 from repro.strategies.optimal import optimal_cost
 from repro.util.rng import make_rng
+from repro.workloads.pipeline import cached_run
+from repro.workloads.specs_catalog import SPEC_CATALOG
 
 # The package re-exports a function under this submodule's name.
 random_module = importlib.import_module("repro.strategies.random_strategy")
@@ -201,6 +203,68 @@ def ref_optimal_cost(lattice, reference):
     return None
 
 
+def ref_optimal_cost_budgeted(lattice, reference, max_states=200_000):
+    """The int-mask search successor by successor, with its state budget.
+
+    Each state's moves are found by testing every concept against every
+    label; its successors are then walked in ascending order and the
+    budget is checked as each new one is seen.
+    """
+    num_objects = lattice.context.num_objects
+    all_objects = (1 << num_objects) - 1
+    extents = lattice.extent_masks
+    by_label: dict[str, int] = {}
+    for o in range(num_objects):
+        by_label[reference[o]] = by_label.get(reference[o], 0) | (1 << o)
+    uniform = tuple(by_label.values())
+
+    if not all_objects:
+        return 0
+    seen = {0}
+    frontier = [0]
+    moves = 0
+    while frontier:
+        moves += 1
+        next_frontier: list[int] = []
+        for state in frontier:
+            free = ~state
+            successors = {
+                state | extent
+                for others in [free & ~mask for mask in uniform]
+                for extent in extents
+                if extent & free and not extent & others
+            }
+            if all_objects in successors:
+                return 2 * moves
+            for new_state in sorted(successors):
+                if new_state in seen:
+                    continue
+                seen.add(new_state)
+                if len(seen) > max_states:
+                    return None
+                next_frontier.append(new_state)
+        frontier = next_frontier
+    return None
+
+
+def reachable_states(lattice, reference):
+    """How many labeling states, the start included, any order of moves
+    reaches: no budget above this can trip."""
+    extents = [lattice.extent(c) for c in lattice]
+    seen = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        state = frontier.pop()
+        for extent in extents:
+            unlabeled = extent - state
+            if unlabeled and len({reference[o] for o in unlabeled}) == 1:
+                new_state = state | extent
+                if new_state not in seen:
+                    seen.add(new_state)
+                    frontier.append(new_state)
+    return len(seen)
+
+
 # --------------------------------------------------------------------- #
 # running both sides
 # --------------------------------------------------------------------- #
@@ -238,8 +302,9 @@ def run_masks(module, strategy, *args):
 
 
 @st.composite
-def labeled_lattices(draw):
-    """A random context's lattice and a two- or three-label reference."""
+def labeled_lattices(draw, min_labels=2):
+    """A random context's lattice and a reference with ``min_labels`` to
+    three labels."""
     num_objects = draw(st.integers(min_value=0, max_value=7))
     num_attrs = draw(st.integers(min_value=1, max_value=6))
     rows = draw(
@@ -254,7 +319,7 @@ def labeled_lattices(draw):
         [f"a{i}" for i in range(num_attrs)],
         rows,
     )
-    labels = ["good", "bad", "ugly"][: draw(st.integers(min_value=2, max_value=3))]
+    labels = ["good", "bad", "ugly"][: draw(st.integers(min_value=min_labels, max_value=3))]
     reference = {
         o: draw(st.sampled_from(labels)) for o in range(num_objects)
     }
@@ -369,6 +434,18 @@ class TestDifferential:
         assert optimal_cost(lattice, reference) == ref_optimal_cost(lattice, reference)
 
     @DIFFERENTIAL
+    @given(labeled_lattices(min_labels=1), AS_GIVEN)
+    def test_optimal_at_every_budget(self, case, how):
+        # Every budget up to past the reachable states, so cutoffs trip
+        # at every point of every level.
+        lattice, reference = case
+        given_reference = given_as(how, lattice, reference)
+        for budget in range(reachable_states(lattice, reference) + 2):
+            assert optimal_cost(
+                lattice, given_reference, max_states=budget
+            ) == ref_optimal_cost_budgeted(lattice, reference, budget)
+
+    @DIFFERENTIAL
     @given(labeled_lattices(), st.lists(st.integers(min_value=0, max_value=40), max_size=25))
     def test_simulator_step_by_step(self, case, visits):
         lattice, reference = case
@@ -477,3 +554,66 @@ class TestOptimalBudgetEdge:
         assert optimal_cost(lattice, reference, max_states=5) == 4
         for _ in range(3):
             assert optimal_cost(lattice, reference, max_states=4) is None
+
+    def test_frontier_order_decides_the_cutoff(self):
+        # Found by a random search: the new states of some expansions
+        # iterate out of ascending order as a set, and at a budget of 17
+        # a frontier in that order reaches the goal before the budget
+        # trips, where the ascending one needs a budget of 20.
+        rows = [{0, 1, 4, 5}, {0, 3, 4}, {2, 5}, {1, 3, 4}, {0, 4, 5}]
+        context = FormalContext(
+            [f"o{i}" for i in range(5)], [f"a{i}" for i in range(6)], rows
+        )
+        lattice = build_lattice_godin(context)
+        reference = {0: "good", 1: "bad", 2: "good", 3: "good", 4: "bad"}
+        assert optimal_cost(lattice, reference, max_states=17) is None
+        assert optimal_cost(lattice, reference, max_states=20) == 6
+        for budget in range(reachable_states(lattice, reference) + 2):
+            assert optimal_cost(
+                lattice, reference, max_states=budget
+            ) == ref_optimal_cost_budgeted(lattice, reference, budget)
+
+
+# --------------------------------------------------------------------- #
+# the catalog lattices Table 3 runs on
+# --------------------------------------------------------------------- #
+
+
+class TestCatalog:
+    """The searches on the lattices and reference labelings of Table 3,
+    at the Table 3 benchmark's settings."""
+
+    def test_optimal_equals_budgeted_reference(self):
+        searched = {}
+        for spec in SPEC_CATALOG:
+            run = cached_run(spec.name)
+            if run.clustering.num_objects > 40:
+                continue
+            lattice, reference = run.clustering.lattice, run.reference_labeling
+            cost = optimal_cost(lattice, LabelMasks(lattice, reference), max_states=50_000)
+            assert cost == ref_optimal_cost_budgeted(lattice, reference, 50_000), spec.name
+            searched[spec.name] = cost
+        assert len(searched) == 14
+        # The search that exhausts its budget.
+        assert searched["PixmapAlloc"] is None
+        assert sum(cost is None for cost in searched.values()) == 1
+
+    def test_bottom_up_visits_on_regionsbig(self):
+        run = cached_run("RegionsBig")
+        lattice, reference = run.clustering.lattice, run.reference_labeling
+        masks = LabelMasks(lattice, reference)
+        rng_ref, rng_masks = make_rng("bu"), make_rng("bu")
+        for trial in range(8):
+            expected = run_ref(
+                ref_bottom_up, lattice, reference, None if trial == 0 else rng_ref
+            )
+            got = run_masks(
+                bottomup_module,
+                bottomup_module.bottom_up_strategy,
+                lattice,
+                masks,
+                None if trial == 0 else rng_masks,
+            )
+            assert expected[0] != "stuck"
+            assert got == expected
+        assert rng_masks.random() == rng_ref.random()
